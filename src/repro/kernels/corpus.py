@@ -28,9 +28,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from ..pulp.analyze import AnalysisReport, StaticContract, analyze_program
+from ..pulp.dispatch import LANED_BAIL_PREFIX
 from ..pulp.fastpath import fastpath_telemetry, reset_fastpath_telemetry
 from ..pulp.isa import ArchProfile
-from ..pulp.lockstep import LANED_BAIL_PREFIX
 from ..pulp.memory import MemoryConfig
 from ..pulp.soc import CORTEX_M4_SOC, PULPV3_SOC, WOLF_SOC, SoCConfig
 from . import am_search, chain, spatial, svm_kernel, temporal

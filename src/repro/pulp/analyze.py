@@ -62,8 +62,7 @@ from .assembler import (
     hw_loop_regions,
 )
 from .core import predecode
-from .isa import ArchProfile
-from .lockstep import (
+from .dispatch import (
     LS_ADDRESS_RANGE,
     LS_DIVERGENT_BRANCH,
     LS_DIVERGENT_DMA,
@@ -73,6 +72,7 @@ from .lockstep import (
     LS_INSTRUCTION_CAP,
     LS_MISALIGNED,
 )
+from .isa import ArchProfile
 from .memory import L1_BASE, L2_BASE, MemoryConfig
 
 _M32 = 0xFFFF_FFFF
@@ -969,7 +969,7 @@ class _RegionWalk:
 
 
 def _pair_disjoint(form_a, width_a, form_b, width_b) -> bool:
-    """Static mirror of ``fastpath._accesses_disjoint``'s phase test."""
+    """Static mirror of ``dispatch._accesses_disjoint``'s phase test."""
     if form_a is None or form_b is None:
         return False
     (sa, (ca, ta)) = form_a

@@ -1,9 +1,10 @@
-"""Block-compiled + loop-vectorizing fast-path engine for the ISS.
+"""Compile side of the ISS fast path, and its one-lane engine.
 
 The per-instruction interpreter in :mod:`repro.pulp.core` is the
-reference oracle; this module is the production engine.  It executes the
-same pre-decoded programs with identical architectural results (registers,
-memory, ``cycles``, ``instr_count``) through two accelerating layers:
+reference oracle; :class:`FastCore` is the production engine.  It
+executes the same pre-decoded programs with identical architectural
+results (registers, memory, ``cycles``, ``instr_count``) through two
+accelerating layers, both prepared here once per (program, profile):
 
 1. **Block compilation** — the program is split into basic blocks
    (:func:`repro.pulp.assembler.basic_blocks`); each straight-line block
@@ -15,42 +16,38 @@ memory, ``cycles``, ``instr_count``) through two accelerating layers:
 2. **Loop vectorization** — the regular SPMD word loops the kernels emit
    (``lp.setup`` bodies and backward-branch self-loops whose memory
    accesses are strided and whose control flow is trip-count-only) are
-   recognized at compile time.  At run time all trips execute as one
-   batched NumPy pass: registers become length-``T`` lane arrays over the
-   trip space, loads/stores become gathers/scatters over
-   :class:`~repro.pulp.memory.MemorySystem` views, reductions fold in
-   closed form, and cycle/stall totals are computed in closed form
-   through :meth:`MemorySystem.bulk_stalls`.  Nested inner loops with
-   lane-invariant trip counts are unrolled inside the pass, which is what
-   lets the three-level bit-serial majority nests vectorize whole.
+   recognized at compile time and lowered to :class:`LoopPlan`\\ s.  At
+   run time all trips execute as one batched NumPy pass through the one
+   vectorizer, :class:`repro.pulp.dispatch._VectorRun`: registers become
+   lane arrays over the trip space, loads and stores become gathers and
+   scatters, reductions fold in closed form, and cycle/stall totals are
+   computed in closed form.  Nested inner loops with lane-invariant
+   trip counts are unrolled inside the pass, which is what lets the
+   three-level bit-serial majority nests vectorize whole.
 
 Whenever a loop does anything the vector model cannot reproduce
 bit-exactly (cross-lane aliasing, lane-divergent control flow, region
 straddling, duplicate store addresses, nesting-depth violations, runaway
-trip counts), the engine *bails out before any state is mutated* and the
+trip counts), the pass *bails out before any state is mutated* and the
 loop runs through the block path instead — so the fast path is total:
 every program executes, and executes identically to the oracle.
 
-**The unified dispatch core.**  The dispatch loop itself — block-plan
-gating, terminator dispatch (branches, jumps, hardware loops, DMA,
-barrier/halt), and cycle charging — lives once, in
-:class:`repro.pulp.dispatch.DispatchCore`.  :class:`FastCore` is its
-scalar (lanes = 1) instantiation: its hook overrides read registers as
-plain ints, synthesize sub-blocks for computed jumps into block
-interiors, and hand off to the interpreter at the instruction cap.  The
-window-laned engine (:mod:`repro.pulp.lockstep`) instantiates the same
-loop with lane-array registers, uniformity proofs where the loop needs
-a scalar, and predicated execution of short divergent forward branches
-— so the two engines cannot drift: there is no second terminator-
-dispatch body to keep in sync.  What stays per-engine here is purely
-scalar semantics: segment-closure compilation (shared with the laned
-block path via :func:`_compile_seg`), the interpreter hand-off, and the
-per-access stall accounting.
+**The one-lane case.**  The dispatch loop and the vector pass live once,
+in :mod:`repro.pulp.dispatch`, and the window-laned lockstep engine
+(:mod:`repro.pulp.lockstep`) runs them over N lanes.  :class:`FastCore`
+runs them over one: its vector passes work on a zero-copy one-lane
+:class:`~repro.pulp.dispatch.LanedMemory` view of the cluster's own
+:class:`~repro.pulp.memory.MemorySystem` (stores land in the cluster's
+bytes, stalls advance the cluster's accumulator, committed values
+collapse back to ints).  Its hook overrides read registers as plain
+ints, synthesize sub-blocks for computed jumps into block interiors,
+raise :class:`~repro.pulp.core.ExecutionError` on faults, and hand off
+to the interpreter at the instruction cap.
 
 Differential parity is enforced by ``tests/pulp/test_fastpath*.py``:
 random-program fuzzing plus every kernel × profile × core-count
 configuration, comparing registers, memory images, cycles, and
-instruction counts between the two engines.
+instruction counts between the fast path and the interpreter.
 """
 
 from __future__ import annotations
@@ -59,9 +56,6 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..hdc.bitpack import _popcount_array
 from .assembler import Program
 from .core import (
     ExecutionError,
@@ -69,30 +63,19 @@ from .core import (
     _signed,
     predecode,
 )
-# The opcode tables, telemetry counters, trip solver, and the one
-# dispatch loop live in repro.pulp.dispatch (shared with the lockstep
-# engine); they are re-exported here so existing imports keep working.
-from .dispatch import (  # noqa: F401 - re-exported shared definitions
+# The opcode tables, reason vocabulary, telemetry counters, the vector
+# pass, and the one dispatch loop live in repro.pulp.dispatch (shared
+# with the lockstep engine).
+from .dispatch import (
     DispatchCore,
-    MAX_VECTOR_TRIPS,
+    LanedMemory,
     REASON_CARRIED_REGISTER,
-    REASON_DIVERGENT_BRANCH,
-    REASON_DIVERGENT_TRIP_COUNT,
-    REASON_DUPLICATE_STORE_LANES,
-    REASON_GATHER_SPAN,
-    REASON_INSTRUCTION_CAP,
-    REASON_LOAD_STORE_OVERLAP,
     REASON_LOOP_DEPTH,
     REASON_REDUCTION_IN_CONDITION,
-    REASON_REGION_SPAN,
-    REASON_RUNAWAY_INNER_LOOP,
-    REASON_STORE_OVERLAP,
-    REASON_UNALIGNED_ACCESS,
     _Bail,
     _BRANCH_OPS,
-    _LOAD_OPS,
     _MASK32,
-    _MEM_WIDTH,
+    _MEMO_LIMIT,
     _OP_ADD,
     _OP_ADDI,
     _OP_AND,
@@ -145,6 +128,7 @@ from .dispatch import (  # noqa: F401 - re-exported shared definitions
     _OP_XORI,
     _REDUCIBLE_OPS,
     _TELEMETRY,
+    _accesses_disjoint,  # noqa: F401 - re-exported for callers
     _base_cost,
     _reads_writes,
 )
@@ -160,10 +144,8 @@ from .isa import ArchProfile
 #: decoded instruction tuples).  Kernel generators rebuild structurally
 #: identical programs for every machine configuration, so identical
 #: blocks recur often and exec() is by far the dominant compile cost.
-#: Both memos are cleared wholesale at _MEMO_LIMIT entries to bound
-#: memory when many distinct programs stream through one process.
+#: Cleared wholesale at _MEMO_LIMIT entries, like every engine memo.
 _STRAIGHT_MEMO: Dict[tuple, object] = {}
-_MEMO_LIMIT = 4096
 
 
 def _compile_straight(decoded, start: int, end: int, profile: ArchProfile):
@@ -321,11 +303,6 @@ class CompiledBlock:
 
 
 # ---------------------------------------------------------------------------
-# Loop structure discovery (compile time).
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # Fast-path telemetry (debug API).
 # ---------------------------------------------------------------------------
 #
@@ -380,6 +357,11 @@ def reset_fastpath_telemetry() -> None:
     """Zero all fast-path counters (start of a measured run)."""
     for counter in _TELEMETRY.values():
         counter.clear()
+
+
+# ---------------------------------------------------------------------------
+# Loop structure discovery (compile time).
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -616,145 +598,6 @@ def _classify_region(decoded, units, branch_pc: Optional[int]):
     return inductions, reduction_pcs, frozenset(write_sites)
 
 
-#: Memo of compiled symbolic segments keyed by their prepared
-#: instruction tuples (segment semantics are profile-independent — the
-#: cycle costs live in the execution node, not the closure).
-_SEG_MEMO: Dict[tuple, object] = {}
-
-
-def _compile_seg(instrs):
-    """Compile one straight symbolic segment into a generated closure.
-
-    The closure ``f(sym, load, store, T)`` applies the segment's lane
-    semantics over the symbolic register file — one generated line per
-    instruction, mirroring the oracle's per-op semantics for both
-    scalar (python int) and lane-array (uint64 ndarray) operands.
-    ``load``/``store`` are the :class:`_VectorRun` memory hooks (which
-    defer stores and count stalls); ``T`` the lane count for reduction
-    feeds.  Returns ``None`` for a segment with no effect (all nops).
-    """
-    cached = _SEG_MEMO.get(instrs)
-    if cached is not None:
-        return cached
-    lines: List[str] = []
-    for op, rd, ra, rb, imm, immM, imm2, red in instrs:
-        a = "0" if ra == 0 else f"sym[{ra}]"
-        b = "0" if rb == 0 else f"sym[{rb}]"
-        dst = f"sym[{rd}]"
-        drop = rd == 0
-        if red is not None:
-            reg, _rop, src = red
-            value = "0" if src == 0 else f"sym[{src}]"
-            lines.append(f"    sym[{reg}].feed({value}, T)")
-            continue
-        if op == _OP_ADD:
-            expr = f"({a} + {b}) & M"
-        elif op == _OP_ADDI:
-            expr = f"({a} + {immM}) & M"
-        elif op == _OP_XOR:
-            expr = f"{a} ^ {b}"
-        elif op == _OP_AND:
-            expr = f"{a} & {b}"
-        elif op == _OP_OR:
-            expr = f"{a} | {b}"
-        elif op == _OP_SUB:
-            expr = f"({a} - {b}) & M"
-        elif op == _OP_SRL:
-            expr = f"{a} >> ({b} & 31)"
-        elif op == _OP_SLL:
-            expr = f"({a} << ({b} & 31)) & M"
-        elif op == _OP_SRLI:
-            expr = f"{a} >> {imm & 31}"
-        elif op == _OP_SLLI:
-            expr = f"({a} << {imm & 31}) & M"
-        elif op == _OP_ANDI:
-            expr = f"{a} & {immM}"
-        elif op == _OP_ORI:
-            expr = f"{a} | {immM}"
-        elif op == _OP_XORI:
-            expr = f"{a} ^ {immM}"
-        elif op == _OP_SLTU:
-            expr = f"_b01({a} < {b})"
-        elif op == _OP_SLT:
-            expr = f"_b01(_sgn_v({a}) < _sgn_v({b}))"
-        elif op == _OP_SLTI:
-            expr = f"_b01(_sgn_v({a}) < {imm})"
-        elif op == _OP_SLTIU:
-            expr = f"_b01({a} < {immM})"
-        elif op == _OP_SRA:
-            expr = f"_u64((_sgn_v({a}) >> _sh31({b})) & M)"
-        elif op == _OP_SRAI:
-            expr = f"_u64((_sgn_v({a}) >> {imm & 31}) & M)"
-        elif op == _OP_LI:
-            expr = f"{immM}"
-        elif op == _OP_MV:
-            expr = a
-        elif op == _OP_NOP:
-            continue
-        elif op == _OP_MUL:
-            expr = f"({a} * {b}) & M"
-        elif op == _OP_MULH:
-            expr = f"_u64((_sgn_v({a}) * _sgn_v({b}) >> 32) & M)"
-        elif op == _OP_CNT:
-            expr = f"_pcnt({a})"
-        elif op == _OP_EXTRACTU or op == _OP_UBFX:
-            expr = f"({a} >> {imm}) & {(1 << imm2) - 1}"
-        elif op == _OP_INSERT or op == _OP_BFI:
-            mask = ((1 << imm2) - 1) << imm
-            expr = (
-                f"({dst} & {~mask & _MASK32}) | (({a} << {imm}) & {mask})"
-            )
-        elif op == _OP_LW or op == _OP_LBU or op == _OP_LHU:
-            expr = f"load(({a} + {immM}) & M, {_MEM_WIDTH[op]})"
-        elif op == _OP_LW_POST:
-            lines.append(f"    _a = {a}")
-            # Value first, post-increment second: when rd == ra the
-            # increment overwrites the load, as in the oracle.
-            if drop:
-                lines.append("    load(_a, 4)")
-            else:
-                lines.append(f"    {dst} = load(_a, 4)")
-            if ra:
-                lines.append(f"    sym[{ra}] = (_a + {immM}) & M")
-            continue
-        elif op == _OP_SW or op == _OP_SB or op == _OP_SH:
-            rv = "0" if rd == 0 else dst
-            lines.append(
-                f"    store(({a} + {immM}) & M, {rv}, {_MEM_WIDTH[op]})"
-            )
-            continue
-        elif op == _OP_SW_POST:
-            rv = "0" if rd == 0 else dst
-            lines.append(f"    _a = {a}")
-            lines.append(f"    store(_a, {rv}, 4)")
-            if ra:
-                lines.append(f"    sym[{ra}] = (_a + {immM}) & M")
-            continue
-        else:  # pragma: no cover - parse rejects control opcodes
-            raise _Bail
-        if drop:
-            # Loads to r0 still access memory; pure ALU into r0 is dead.
-            if op in _LOAD_OPS:
-                lines.append(f"    {expr}")
-            continue
-        lines.append(f"    {dst} = {expr}")
-    if not lines:
-        return None
-    src = "\n".join(["def _seg(sym, load, store, T):"] + lines)
-    namespace = {
-        "M": _MASK32,
-        "_sgn_v": _sgn_v,
-        "_u64": _u64,
-        "_pcnt": _popcount_v,
-        "_b01": _bool01,
-        "_sh31": _sh31,
-    }
-    exec(src, namespace)  # noqa: S102 - compiling our own assembler output
-    closure = namespace["_seg"]
-    if len(_SEG_MEMO) >= _MEMO_LIMIT:
-        _SEG_MEMO.clear()
-    _SEG_MEMO[instrs] = closure
-    return closure
 
 
 def _prepare_units(decoded, units, profile, reduction_pcs):
@@ -916,545 +759,6 @@ def _build_plan(decoded, kind, head, lo, hi, exit_pc, branch_pc, profile):
 
 
 # ---------------------------------------------------------------------------
-# Runtime vector execution.
-# ---------------------------------------------------------------------------
-
-
-def _sgn_v(value):
-    """Signed view of a 32-bit value (scalar int or uint64 lane array)."""
-    if isinstance(value, np.ndarray):
-        s = value.astype(np.int64)
-        return ((s + 0x8000_0000) & _MASK32) - 0x8000_0000
-    return _signed(value)
-
-
-def _u64(value):
-    if isinstance(value, np.ndarray) and value.dtype != np.uint64:
-        return value.astype(np.uint64)
-    return value
-
-
-def _popcount_v(value):
-    if isinstance(value, np.ndarray):
-        # Guarded helper: np.bitwise_count on numpy >= 2.0, byte LUT
-        # below (the same fallback the HDC engine uses).
-        return _popcount_array(value).astype(np.uint64)
-    return bin(value).count("1")
-
-
-def _bool01(cond):
-    """Comparison result as a 0/1 value (scalar or lane array)."""
-    if isinstance(cond, np.ndarray):
-        return cond.astype(np.uint64)
-    return int(cond)
-
-
-def _sh31(value):
-    """Shift amount (& 31) in a dtype valid for shifting signed values.
-
-    NumPy refuses ``int64 >> uint64`` promotion, and a negative python
-    scalar cannot shift by a uint64 array — so arithmetic-shift amounts
-    are carried as int64.
-    """
-    if isinstance(value, np.ndarray):
-        return (value & 31).astype(np.int64)
-    return value & 31
-
-
-def _seg_noop(sym, load, store, T):
-    """Compiled form of an all-nop segment."""
-
-
-def _cond_v(op, a, b):
-    """Branch condition on scalar/lane values; bool or bool array."""
-    if op == _OP_BEQ:
-        return a == b
-    if op == _OP_BNE:
-        return a != b
-    if op == _OP_BLTU:
-        return a < b
-    if op == _OP_BGEU:
-        return a >= b
-    sa, sb = _sgn_v(a), _sgn_v(b)
-    if op == _OP_BLT:
-        return sa < sb
-    return sa >= sb  # _OP_BGE
-
-
-class _Reduction:
-    """Write-only accumulator for a reduction register during a pass."""
-
-    __slots__ = ("op", "base", "acc", "parity_hits")
-
-    def __init__(self, op: int, base: int):
-        self.op = op
-        self.base = base
-        if op == _OP_ADD:
-            self.acc = 0
-        elif op == _OP_OR or op == _OP_XOR:
-            self.acc = 0
-        else:  # AND
-            self.acc = _MASK32
-
-    def feed(self, value, lanes: int) -> None:
-        op = self.op
-        if isinstance(value, np.ndarray):
-            if op == _OP_ADD:
-                self.acc = (self.acc + int(value.sum())) & _MASK32
-            elif op == _OP_OR:
-                self.acc |= int(np.bitwise_or.reduce(value))
-            elif op == _OP_XOR:
-                self.acc ^= int(np.bitwise_xor.reduce(value))
-            else:
-                self.acc &= int(np.bitwise_and.reduce(value))
-        else:
-            if op == _OP_ADD:
-                self.acc = (self.acc + value * lanes) & _MASK32
-            elif op == _OP_OR:
-                self.acc |= value
-            elif op == _OP_XOR:
-                if lanes & 1:
-                    self.acc ^= value
-            else:
-                self.acc &= value
-
-    def fold(self) -> int:
-        op = self.op
-        if op == _OP_ADD:
-            return (self.base + self.acc) & _MASK32
-        if op == _OP_OR:
-            return self.base | self.acc
-        if op == _OP_XOR:
-            return self.base ^ self.acc
-        return self.base & self.acc
-
-
-def _affine_stride(addr: np.ndarray):
-    """Positive common stride of an affine address array, else ``None``."""
-    if addr.size < 2:
-        return None
-    step = int(addr[1]) - int(addr[0])
-    if step <= 0:
-        return None
-    deltas = addr[1:] - addr[:-1]
-    # Exact for unsigned dtypes too: a descending pair wraps to a huge
-    # delta that can never equal the positive 32-bit step.
-    if (deltas == deltas.dtype.type(step)).all():
-        return step
-    return None
-
-
-def _accesses_disjoint(addr_a, width_a, stride_a, addr_b, width_b, stride_b):
-    """Whether two access sets with overlapping bounding intervals are
-    provably byte-disjoint.
-
-    The decidable-in-O(1) case is two affine sets on the same stride
-    lattice (the kernels' row-strided lane sets): their byte footprints
-    repeat with period ``s``, so a phase test on ``(base_a − base_b)
-    mod s`` settles disjointness for every pair of elements at once.  A
-    scalar access against an affine set uses the same phase test.
-    Everything undecided returns False (the caller bails — exactly the
-    pre-stride behaviour, so this is only ever *more* permissive).
-    ``None`` stands for an address set with no affine representative
-    (e.g. the lockstep engine's per-lane gathers): never provably
-    disjoint.
-    """
-    if addr_a is None or addr_b is None:
-        return False
-    if isinstance(addr_a, np.ndarray):
-        if stride_a is None:
-            return False
-        base_a = int(addr_a[0])
-    else:
-        base_a, stride_a = int(addr_a), None
-    if isinstance(addr_b, np.ndarray):
-        if stride_b is None:
-            return False
-        base_b = int(addr_b[0])
-    else:
-        base_b, stride_b = int(addr_b), None
-    if stride_a is None and stride_b is None:
-        return False  # two scalars with overlapping intervals do touch
-    if stride_a is not None and stride_b is not None:
-        if stride_a != stride_b:
-            return False
-        stride = stride_a
-    else:
-        stride = stride_a if stride_a is not None else stride_b
-    if width_a > stride or width_b > stride:
-        return False
-    # Phase of set a relative to set b on the shared lattice: bytes
-    # [d, d+width_a) of some period must miss [0, width_b) of the next.
-    d = (base_a - base_b) % stride
-    return d >= width_b and d + width_a <= stride
-
-
-class _VectorRun:
-    """One batched execution of a :class:`LoopPlan` over ``T`` trips.
-
-    All architectural effects are *deferred* (stores, register
-    write-back, stall accounting), so a :class:`_Bail` raised at any
-    point leaves the core and memory untouched and the block path can
-    re-execute the loop scalar.
-    """
-
-    def __init__(self, core: "FastCore", plan: LoopPlan, trips: int):
-        self.core = core
-        self.plan = plan
-        self.trips = trips
-        self.decoded = core.compiled.decoded
-        self.profile = core.profile
-        self.memory = core.memory
-        self.n_l1 = 0
-        self.n_l2 = 0
-        self.base_cycles = 0
-        self.n_instr = 0
-        # (lo, hi, addrs, values, width, stride) deferred stores and
-        # (lo, hi, addrs, width, stride) gathered-load footprints.
-        self.stores: List[tuple] = []
-        self.loads: List[tuple] = []
-        self.budget = core.max_instructions - core.instr_count
-        self._taken = 1 + core.profile.branch_taken_penalty
-        self._not_taken = 1 + core.profile.branch_not_taken_penalty
-        regs = core.regs
-        T = trips
-        sym: List = list(regs)
-        sym[0] = 0
-        lanes = np.arange(T, dtype=np.uint64)
-        for reg, step in plan.inductions.items():
-            if reg == 0:
-                continue
-            sym[reg] = (
-                np.uint64(regs[reg]) + lanes * np.uint64(step & _MASK32)
-            ) & np.uint64(_MASK32)
-        for pc, (reg, op, _src) in plan.reduction_pcs.items():
-            if reg:
-                sym[reg] = _Reduction(op, regs[reg])
-        self.sym = sym
-
-    # -- helpers -----------------------------------------------------------
-
-    def _check_no_store_overlap(
-        self, lo: int, hi: int, addr=None, width: int = 0, stride=None
-    ) -> None:
-        """A load (or new store) range may not touch a deferred store.
-
-        [lo, hi] is the access set's bounding interval; interval overlap
-        alone is not disproof of disjointness, so overlapping intervals
-        fall through to the exact (or stride-lattice) test — a
-        row-strided lane set interleaves with its neighbour's interval
-        while touching entirely different bytes.
-        """
-        for s_lo, s_hi, s_addr, _, s_width, s_stride in self.stores:
-            if lo <= s_hi and s_lo <= hi and not _accesses_disjoint(
-                addr, width, stride, s_addr, s_width, s_stride
-            ):
-                raise _Bail(REASON_STORE_OVERLAP)
-
-    def _check_no_load_overlap(self, lo, hi, addr, width, stride) -> None:
-        """A new store range may not touch any already-gathered load.
-
-        This catches the *backward* cross-trip dependence (a load site
-        earlier in the body reading what a later store site writes on a
-        previous trip): the gather already consumed pre-loop memory for
-        every lane, so committing an overlapping store would diverge
-        from the oracle.  Bailing here discards the deferred state and
-        reruns the loop through the block path.
-
-        One overlap shape stays vectorizable: a per-lane read-modify-
-        write, where the store's address array equals the load's
-        element for element (same width).  Lanes are duplicate-free, so
-        every lane touches only its own address and the within-trip
-        load-before-store order means the gather's pre-loop values are
-        exactly what the oracle reads.  A *scalar* address reused by
-        both sites is loop-carried through memory and must still bail.
-        """
-        for l_lo, l_hi, l_addr, l_width, l_stride in self.loads:
-            if lo <= l_hi and l_lo <= hi:
-                if (
-                    width == l_width
-                    and isinstance(addr, np.ndarray)
-                    and isinstance(l_addr, np.ndarray)
-                    and np.array_equal(addr, l_addr)
-                ):
-                    continue
-                if _accesses_disjoint(
-                    addr, width, stride, l_addr, l_width, l_stride
-                ):
-                    continue
-                raise _Bail(REASON_LOAD_STORE_OVERLAP)
-
-    def _load(self, addr, width: int):
-        memory = self.memory
-        stride = None
-        if isinstance(addr, np.ndarray):
-            lo = int(addr.min())
-            hi = int(addr.max()) + width - 1
-            stride = _affine_stride(addr)
-            self._check_no_store_overlap(lo, hi, addr, width, stride)
-            gathered = memory.gather(addr, width)
-            if gathered is None:
-                raise _Bail(REASON_GATHER_SPAN)
-            values, is_l1 = gathered
-        else:
-            addr = int(addr)
-            lo, hi = addr, addr + width - 1
-            if width > 1 and addr % width:
-                raise _Bail(REASON_UNALIGNED_ACCESS)
-            located = memory.locate_bulk(lo, hi)
-            if located is None:
-                raise _Bail(REASON_REGION_SPAN)
-            is_l1 = located[0]
-            self._check_no_store_overlap(lo, hi, addr, width, stride)
-            values = int.from_bytes(
-                memory.read_bytes(addr, width), "little"
-            )
-        self.loads.append((lo, hi, addr, width, stride))
-        if is_l1:
-            self.n_l1 += self.trips
-        else:
-            self.n_l2 += self.trips
-        return values
-
-    def _store(self, addr, value, width: int) -> None:
-        memory = self.memory
-        stride = None
-        if isinstance(addr, np.ndarray):
-            lo = int(addr.min())
-            hi = int(addr.max()) + width - 1
-            located = memory.locate_bulk(lo, hi)
-            if located is None:
-                raise _Bail(REASON_REGION_SPAN)
-            if width > 1 and (addr % width).any():
-                raise _Bail(REASON_UNALIGNED_ACCESS)
-            stride = _affine_stride(addr)
-            if stride is None and np.unique(addr).size != addr.size:
-                # Duplicate lane addresses: order-dependent.
-                raise _Bail(REASON_DUPLICATE_STORE_LANES)
-            is_l1 = located[0]
-            if not isinstance(value, np.ndarray):
-                value = np.full(self.trips, value, dtype=np.uint64)
-        else:
-            addr = int(addr)
-            lo, hi = addr, addr + width - 1
-            if width > 1 and addr % width:
-                raise _Bail(REASON_UNALIGNED_ACCESS)
-            located = memory.locate_bulk(lo, hi)
-            if located is None:
-                raise _Bail(REASON_REGION_SPAN)
-            is_l1 = located[0]
-            if isinstance(value, np.ndarray):
-                value = int(value[-1])  # last lane wins on one address
-        self._check_no_store_overlap(lo, hi, addr, width, stride)
-        self._check_no_load_overlap(lo, hi, addr, width, stride)
-        self.stores.append((lo, hi, addr, value, width, stride))
-        if is_l1:
-            self.n_l1 += self.trips
-        else:
-            self.n_l2 += self.trips
-
-    # -- execution ---------------------------------------------------------
-
-    def run_nodes(self, nodes) -> None:
-        T = self.trips
-        sym = self.sym
-        for node in nodes:
-            kind = node[0]
-            if kind == "seg":
-                closure, count, cost = node[1], node[2], node[3]
-                self.n_instr += count * T
-                if self.n_instr > self.budget:
-                    raise _Bail(REASON_INSTRUCTION_CAP)
-                self.base_cycles += cost * T
-                if closure is not None:
-                    closure(sym, self._load, self._store, T)
-                else:
-                    node[5] += 1
-                    if node[5] >= 2:
-                        # Hot segment: compile once, reuse forever (the
-                        # node is shared by every core and run).
-                        closure = _compile_seg(node[4]) or _seg_noop
-                        node[1] = closure
-                        closure(sym, self._load, self._store, T)
-                    else:
-                        evaluate = self.eval_prepared
-                        for prepared in node[4]:
-                            evaluate(prepared)
-            elif kind == "bl":
-                _, body, (op, ra, rb) = node
-                taken = self._taken
-                not_taken = self._not_taken
-                passes = 0
-                while True:
-                    passes += 1
-                    if passes > MAX_VECTOR_TRIPS:
-                        raise _Bail(REASON_RUNAWAY_INNER_LOOP)  # go scalar
-                    self.run_nodes(body)
-                    self.n_instr += T
-                    if self.n_instr > self.budget:
-                        raise _Bail(REASON_INSTRUCTION_CAP)
-                    cond = _cond_v(
-                        op,
-                        sym[ra] if ra else 0,
-                        sym[rb] if rb else 0,
-                    )
-                    if isinstance(cond, np.ndarray):
-                        if cond.all():
-                            branch_taken = True
-                        elif not cond.any():
-                            branch_taken = False
-                        else:
-                            # Lane-divergent control flow.
-                            raise _Bail(REASON_DIVERGENT_BRANCH)
-                    else:
-                        branch_taken = bool(cond)
-                    if branch_taken:
-                        self.base_cycles += taken * T
-                    else:
-                        self.base_cycles += not_taken * T
-                        break
-            else:  # "hw"
-                _, body, trip_reg = node
-                self.n_instr += T
-                self.base_cycles += T  # lp.setup costs 1
-                trips_v = sym[trip_reg] if trip_reg else 0
-                if isinstance(trips_v, np.ndarray):
-                    if not (trips_v == trips_v.flat[0]).all():
-                        raise _Bail(REASON_DIVERGENT_TRIP_COUNT)
-                    trips_v = trips_v.flat[0]
-                inner = int(trips_v)
-                # Every pass adds at least T to n_instr, so this
-                # pre-guard bounds the unroll work by the instruction cap.
-                if inner and self.n_instr + inner * T > self.budget:
-                    raise _Bail(REASON_INSTRUCTION_CAP)
-                for _ in range(inner):
-                    self.run_nodes(body)
-
-    def eval_prepared(self, prepared) -> None:
-        """Interpret one prepared instruction over the symbolic state.
-
-        The cold-path twin of :func:`_compile_seg`: segments run through
-        this until they prove hot enough to be worth an exec() compile.
-        Semantics must match the generated code line for line.
-        """
-        op, rd, ra, rb, imm, immM, imm2, red = prepared
-        sym = self.sym
-        a = sym[ra]
-        if red is not None:
-            reg, _rop, src = red
-            sym[reg].feed(sym[src] if src else 0, self.trips)
-            return
-        M = _MASK32
-        if op == _OP_ADD:
-            value = (a + sym[rb]) & M
-        elif op == _OP_ADDI:
-            value = (a + immM) & M
-        elif op == _OP_XOR:
-            value = a ^ sym[rb]
-        elif op == _OP_AND:
-            value = a & sym[rb]
-        elif op == _OP_OR:
-            value = a | sym[rb]
-        elif op == _OP_SUB:
-            value = (a - sym[rb]) & M
-        elif op == _OP_SRL:
-            value = a >> (sym[rb] & 31)
-        elif op == _OP_SLL:
-            value = (a << (sym[rb] & 31)) & M
-        elif op == _OP_SRLI:
-            value = a >> (imm & 31)
-        elif op == _OP_SLLI:
-            value = (a << (imm & 31)) & M
-        elif op == _OP_ANDI:
-            value = a & immM
-        elif op == _OP_ORI:
-            value = a | immM
-        elif op == _OP_XORI:
-            value = a ^ immM
-        elif op == _OP_SLTU:
-            value = _bool01(a < sym[rb])
-        elif op == _OP_SLT:
-            value = _bool01(_sgn_v(a) < _sgn_v(sym[rb]))
-        elif op == _OP_SLTI:
-            value = _bool01(_sgn_v(a) < imm)
-        elif op == _OP_SLTIU:
-            value = _bool01(a < immM)
-        elif op == _OP_SRA:
-            value = _u64((_sgn_v(a) >> _sh31(sym[rb])) & M)
-        elif op == _OP_SRAI:
-            value = _u64((_sgn_v(a) >> (imm & 31)) & M)
-        elif op == _OP_LI:
-            value = immM
-        elif op == _OP_MV:
-            value = a
-        elif op == _OP_NOP:
-            return
-        elif op == _OP_MUL:
-            value = (a * sym[rb]) & M
-        elif op == _OP_MULH:
-            value = _u64((_sgn_v(a) * _sgn_v(sym[rb]) >> 32) & M)
-        elif op == _OP_CNT:
-            value = _popcount_v(a)
-        elif op == _OP_EXTRACTU or op == _OP_UBFX:
-            value = (a >> imm) & ((1 << imm2) - 1)
-        elif op == _OP_INSERT or op == _OP_BFI:
-            mask = ((1 << imm2) - 1) << imm
-            value = (sym[rd] & (~mask & M)) | ((a << imm) & mask)
-        elif op == _OP_LW or op == _OP_LBU or op == _OP_LHU:
-            value = self._load((a + immM) & M, _MEM_WIDTH[op])
-        elif op == _OP_LW_POST:
-            value = self._load(a, 4)
-            # Value first, post-increment second: when rd == ra the
-            # increment overwrites the load, as in the oracle.
-            if rd:
-                sym[rd] = value
-            if ra:
-                sym[ra] = (a + immM) & M
-            return
-        elif op == _OP_SW or op == _OP_SB or op == _OP_SH:
-            self._store((a + immM) & M, sym[rd] if rd else 0, _MEM_WIDTH[op])
-            return
-        elif op == _OP_SW_POST:
-            self._store(a, sym[rd] if rd else 0, 4)
-            if ra:
-                sym[ra] = (a + immM) & M
-            return
-        else:  # pragma: no cover - parse rejects control opcodes
-            raise _Bail
-        if rd:
-            sym[rd] = value
-
-    def commit(self) -> None:
-        """Apply all deferred effects; only called when no bail fired."""
-        core = self.core
-        memory = self.memory
-        for _lo, _hi, addr, value, width, _stride in self.stores:
-            if isinstance(addr, np.ndarray):
-                memory.scatter(addr, _u64(value), width)
-            else:
-                mask = (1 << (8 * width)) - 1
-                memory.write_bytes(
-                    addr, (int(value) & mask).to_bytes(width, "little")
-                )
-        regs = core.regs
-        # Only body-written registers can have changed in sym.
-        for reg in self.plan.written_regs:
-            if not reg:
-                continue
-            value = self.sym[reg]
-            if isinstance(value, _Reduction):
-                regs[reg] = value.fold()
-            elif isinstance(value, np.ndarray):
-                regs[reg] = int(value[-1])
-            else:
-                regs[reg] = value
-        core.cycles += self.base_cycles + memory.bulk_stalls(
-            self.n_l1, self.n_l2
-        )
-        core.instr_count += self.n_instr
-
-
-# ---------------------------------------------------------------------------
 # Program compilation + the dispatching core.
 # ---------------------------------------------------------------------------
 
@@ -1547,22 +851,22 @@ class FastCore(DispatchCore, Core):
 
     Architecturally identical to the interpreter (same registers, memory
     effects, cycles, and instruction counts on every successful run);
-    only wall-clock behaviour differs.  The dispatch loop itself lives
-    in :class:`repro.pulp.dispatch.DispatchCore`; this class is its
-    scalar (lanes = 1) instantiation — registers are plain ints, faults
-    raise :class:`~repro.pulp.core.ExecutionError` exactly like the
-    oracle, and the instruction cap hands off to the interpreter for
-    per-instruction granularity.
+    only wall-clock behaviour differs.  The dispatch loop and the vector
+    pass live in :mod:`repro.pulp.dispatch`; this class is their
+    one-lane instantiation — registers are plain ints, vector passes run
+    over ``lmem`` (a zero-copy one-lane view of the core's memory),
+    faults raise :class:`~repro.pulp.core.ExecutionError` exactly like
+    the oracle, and the instruction cap hands off to the interpreter
+    for per-instruction granularity.
     """
 
-    __slots__ = ("compiled", "_disabled_plans")
-
-    _vector_run_cls: type  # assigned after _VectorRun is defined below
+    __slots__ = ("compiled", "_disabled_plans", "lmem")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.compiled: Optional[CompiledProgram] = None
         self._disabled_plans: set = set()
+        self.lmem = LanedMemory(self.memory)
 
     def load_program(self, decoded: list, compiled=None) -> None:
         super().load_program(decoded)
@@ -1685,6 +989,3 @@ class FastCore(DispatchCore, Core):
         if self._decoded is None:
             raise ExecutionError("no program loaded")
         return self.dispatch_segment()
-
-
-FastCore._vector_run_cls = _VectorRun

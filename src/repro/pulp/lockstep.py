@@ -6,19 +6,18 @@ the descriptor table — and therefore the data flowing through the
 kernels — differs.  The kernels' control flow is counter-driven, so N
 windows execute the identical instruction trace in lockstep.  This
 module exploits that: it runs each program **once** over N per-window
-memory images, carrying every register as either a plain int (uniform
-across windows) or a length-N lane array, and extending the fast
-path's trip-vectorized loops with a second lane axis — ``(trips,
-windows)`` arrays flowing through the very same compiled segment
-closures (:func:`repro.pulp.fastpath._compile_seg` is
-shape-agnostic).  One numpy pass per loop then covers all windows,
-which is where the batched driver's speed-up comes from.
+memory images (:class:`~repro.pulp.dispatch.LanedMemory`), carrying
+every register as either a plain int (uniform across windows) or a
+length-N lane array.  A vectorized loop then runs as one numpy pass
+over ``(trips, windows)`` arrays, which is where the batched driver's
+speed-up comes from.
 
-The dispatch loop itself is **shared with the scalar engine**:
-:class:`_LaneCore` is the laned instantiation of
-:class:`repro.pulp.dispatch.DispatchCore` (block-plan gating,
-terminator dispatch, and cycle charging live there, once).  What this
-module adds on top of the shared loop is purely the lane dimension:
+The dispatch loop and the loop vectorizer are **shared with the scalar
+engine**: both live once in :mod:`repro.pulp.dispatch`, and
+:class:`~repro.pulp.fastpath.FastCore` is their one-lane case.
+:class:`_LaneCore` is the N-lane instantiation of
+:class:`~repro.pulp.dispatch.DispatchCore`; what this module adds on
+top is purely the lane dimension:
 
 * per-engine hooks that collapse lane values to solver operands
   (``_uniform_int``), execute straight blocks over laned memory, and
@@ -48,19 +47,19 @@ per-window path.  The differential suite in
 ``tests/kernels/test_chain_batch.py`` pins the equivalence over
 engine × strategy × core-count grids.
 
-Cycle accounting mirrors the scalar engines: base costs are folded per
+Cycle accounting mirrors the scalar engine: base costs are folded per
 segment, memory stalls are totalled through the same closed-form
-accumulator (:meth:`MemorySystem.bulk_stalls` semantics, one shared
-model because every lane's access trace is identical — the predicated
-bodies are pure ALU, so lane-divergent paths never touch it), and DMA
-timing runs the same busy-until clock with only the *payload*
-differing per lane.
+accumulator (:meth:`MemorySystem.bulk_stalls`, one private copy per
+session, because every lane's access trace is identical — the
+predicated bodies are pure ALU, so lane-divergent paths never touch
+it), and DMA timing runs the same busy-until clock with only the
+*payload* differing per lane.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,29 +67,35 @@ from .assembler import CORE_ID_REG, N_CORES_REG, Program
 from .cluster import ClusterRunResult
 from .core import STOP_HALT
 from .dispatch import (
+    LS_BLOCK_ADDRESS_SHAPE,
+    LS_DIVERGENT_BRANCH,
+    LS_DIVERGENT_DMA,
+    LS_DIVERGENT_JUMP,
+    LS_DIVERGENT_STORE_ADDRESS,
+    LS_DIVERGENT_TRIP_COUNT,
+    LS_DMA_ERROR,
+    LS_INSTRUCTION_CAP,
+    LS_LOOP_NESTING,
+    LS_MID_BLOCK_ENTRY,
+    LS_PC_OVERRUN,
+    LS_PREDICATED_MEMORY,
+    LS_STOP_DISAGREEMENT,
+    LS_UNKNOWN_TERMINATOR,
     DispatchCore,
-    _Bail,
+    LaneImage,
+    LanedMemory,
+    LockstepBail,
     _LOAD_OPS,
     _MASK32,
-    _OP_ADD,
-    _OP_AND,
-    _OP_OR,
-    _OP_XOR,
     _STORE_OPS,
-)
-from .fastpath import (
-    _VectorRun,
-    _affine_stride,
     _base_cost,
     _compile_seg,
     _cond_v,
     _reads_writes,
     _seg_noop,
-    compile_program,
+    _uniform_int,
 )
-from .memory import L1_BASE, L2_BASE, MemorySystem
-
-_M64 = np.uint64(_MASK32)
+from .fastpath import compile_program
 
 
 def _lane64(value, n_lanes: int) -> np.ndarray:
@@ -106,79 +111,6 @@ def _pred_no_load(addr, width):  # pragma: no cover - guarded by _pred_entry
 
 def _pred_no_store(addr, value, width):  # pragma: no cover - see above
     raise LockstepBail(LS_PREDICATED_MEMORY)
-
-
-# ---------------------------------------------------------------------------
-# LockstepBail reason vocabulary (analyzer-consumable, like the
-# COMPILE_REJECT_REASONS / RUNTIME_BAIL_REASONS tables in dispatch.py).
-# ---------------------------------------------------------------------------
-
-LS_ADDRESS_RANGE = "address-range"
-LS_MISALIGNED = "misaligned"
-LS_DIVERGENT_STORE_ADDRESS = "divergent-store-address"
-LS_DIVERGENT_JUMP = "divergent-jump"
-LS_DIVERGENT_TRIP_COUNT = "divergent-trip-count"
-LS_DIVERGENT_BRANCH = "divergent-branch"
-LS_DIVERGENT_DMA = "divergent-dma"
-LS_PC_OVERRUN = "pc-overrun"
-LS_LOOP_NESTING = "loop-nesting"
-LS_DMA_ERROR = "dma-error"
-LS_UNKNOWN_TERMINATOR = "unknown-terminator"
-LS_INSTRUCTION_CAP = "instruction-cap"
-LS_MID_BLOCK_ENTRY = "mid-block-entry"
-LS_STOP_DISAGREEMENT = "stop-disagreement"
-LS_PREDICATED_MEMORY = "predicated-memory"
-LS_BLOCK_ADDRESS_SHAPE = "block-address-shape"
-LS_UNSUPPORTED = "unsupported"
-
-#: Every reason :class:`LockstepBail` can carry.
-LOCKSTEP_BAIL_REASONS = frozenset({
-    LS_ADDRESS_RANGE,
-    LS_MISALIGNED,
-    LS_DIVERGENT_STORE_ADDRESS,
-    LS_DIVERGENT_JUMP,
-    LS_DIVERGENT_TRIP_COUNT,
-    LS_DIVERGENT_BRANCH,
-    LS_DIVERGENT_DMA,
-    LS_PC_OVERRUN,
-    LS_LOOP_NESTING,
-    LS_DMA_ERROR,
-    LS_UNKNOWN_TERMINATOR,
-    LS_INSTRUCTION_CAP,
-    LS_MID_BLOCK_ENTRY,
-    LS_STOP_DISAGREEMENT,
-    LS_PREDICATED_MEMORY,
-    LS_BLOCK_ADDRESS_SHAPE,
-    LS_UNSUPPORTED,
-})
-
-#: The window-laned vector path converts a ``LockstepBail`` into a
-#: fastpath runtime bail tagged ``laned-<reason>``; it can additionally
-#: emit the two lane-array-specific tags below that have no scalar
-#: LockstepBail counterpart site.
-LANED_BAIL_PREFIX = "laned-"
-LS_LANED_STORE_ADDRESSES = "store-addresses"
-
-#: The ``bails`` telemetry key space of the laned vector path.
-LANED_BAIL_REASONS = frozenset(
-    LANED_BAIL_PREFIX + reason
-    for reason in LOCKSTEP_BAIL_REASONS | {LS_LANED_STORE_ADDRESSES}
-)
-
-
-class LockstepBail(Exception):
-    """The lane model cannot reproduce this run; use the scalar path.
-
-    Raised for divergent control flow, lane-varying store addresses,
-    instruction-cap proximity, faulting accesses, and anything else the
-    laned engine does not model — the caller's sequential fallback then
-    reproduces the exact scalar behaviour (including exact errors).
-    ``reason`` is always drawn from :data:`LOCKSTEP_BAIL_REASONS`.
-    """
-
-    def __init__(self, reason: str = LS_UNSUPPORTED):
-        super().__init__(reason)
-        self.reason = reason
 
 
 _LOCKSTEP_TELEMETRY = {
@@ -211,266 +143,6 @@ def reset_lockstep_telemetry() -> None:
     _LOCKSTEP_TELEMETRY["bails"].clear()
 
 
-def _uniform_int(value) -> Optional[int]:
-    """Collapse a lane value to an int, or ``None`` when it diverges."""
-    if isinstance(value, np.ndarray):
-        first = value.flat[0]
-        if (value == first).all():
-            return int(first)
-        return None
-    return int(value)
-
-
-class LaneImage:
-    """One lane's materialized (L1, L2) memory snapshot."""
-
-    __slots__ = ("l1", "l2")
-
-    def __init__(self, l1: bytes, l2: bytes):
-        self.l1 = l1
-        self.l2 = l2
-
-    def restore_into(self, memory: MemorySystem) -> None:
-        """Write this lane's image into a scalar memory system."""
-        memory.write_bytes(L1_BASE, self.l1)
-        memory.write_bytes(L2_BASE, self.l2)
-
-
-class LanedMemory:
-    """N per-lane copies of the two-level memory, batch addressable.
-
-    Functional accesses operate on ``(n_lanes, bytes)`` arrays; timing
-    questions (region classification, the closed-form stall model) are
-    answered once because every lane's access trace is identical — the
-    accumulator is delegated to a private scalar :class:`MemorySystem`
-    so the fixed-point conflict sequence can never drift from the
-    oracle's.
-    """
-
-    def __init__(self, memory: MemorySystem, n_lanes: int):
-        config = memory.config
-        self.config = config
-        self.n_lanes = n_lanes
-        l1 = np.frombuffer(
-            memory.read_bytes(L1_BASE, config.l1_bytes), dtype=np.uint8
-        )
-        l2 = np.frombuffer(
-            memory.read_bytes(L2_BASE, config.l2_bytes), dtype=np.uint8
-        )
-        self._l1 = np.tile(l1, (n_lanes, 1))
-        self._l2 = np.tile(l2, (n_lanes, 1))
-        self._l1_end = L1_BASE + config.l1_bytes
-        self._l2_end = L2_BASE + config.l2_bytes
-        self._views: Dict[Tuple[bool, int], np.ndarray] = {}
-        self._stalls = MemorySystem(config)
-        # Lane-divergence page map (256-B pages): lanes start
-        # byte-identical (tiled), and only per-lane writes can make them
-        # differ.  Loads from never-diverged pages read lane 0's bytes
-        # directly — no all-lane gather, no uniformity compare.
-        self._dirty = {
-            True: np.zeros((config.l1_bytes >> 8) + 1, dtype=bool),
-            False: np.zeros((config.l2_bytes >> 8) + 1, dtype=bool),
-        }
-
-    def mark_divergent(self, is_l1: bool, lo_off: int, hi_off: int) -> None:
-        """Record that lanes may now differ in [lo_off, hi_off] bytes."""
-        self._dirty[is_l1][lo_off >> 8 : (hi_off >> 8) + 1] = True
-
-    def lanes_identical(self, is_l1: bool, lo_off: int, hi_off: int) -> bool:
-        """True when every lane provably holds the same bytes there."""
-        return not self._dirty[is_l1][
-            lo_off >> 8 : (hi_off >> 8) + 1
-        ].any()
-
-    # -- region / timing ---------------------------------------------------
-
-    def locate(self, lo: int, hi: int) -> Tuple[bool, int]:
-        """(is_l1, region_base) for [lo, hi]; bail when out of range."""
-        if L1_BASE <= lo and hi < self._l1_end:
-            return True, L1_BASE
-        if L2_BASE <= lo and hi < self._l2_end:
-            return False, L2_BASE
-        raise LockstepBail(LS_ADDRESS_RANGE)
-
-    def set_team_size(self, n_cores: int) -> None:
-        """Configure the expected L1 bank-conflict penalty for a team."""
-        self._stalls.set_team_size(n_cores)
-
-    def bulk_stalls(self, n_l1: int, n_l2: int) -> int:
-        """Closed-form stall total, advancing the shared accumulator."""
-        return self._stalls.bulk_stalls(n_l1, n_l2)
-
-    # -- functional access -------------------------------------------------
-
-    def _view(self, is_l1: bool, width: int) -> np.ndarray:
-        view = self._views.get((is_l1, width))
-        if view is None:
-            buf = self._l1 if is_l1 else self._l2
-            view = buf.view({1: "<u1", 2: "<u2", 4: "<u4"}[width])
-            self._views[(is_l1, width)] = view
-        return view
-
-    def write_lane_bytes(self, lane: int, addr: int, data: bytes) -> None:
-        """Seed one lane's image (pre-run staging, untimed)."""
-        is_l1, base = self.locate(addr, addr + len(data) - 1)
-        buf = self._l1 if is_l1 else self._l2
-        offset = addr - base
-        buf[lane, offset : offset + len(data)] = np.frombuffer(
-            data, dtype=np.uint8
-        )
-        self.mark_divergent(is_l1, offset, offset + len(data) - 1)
-
-    def load_scalar(self, addr: int, width: int):
-        """Load one address in every lane: int when uniform, else (n,)."""
-        if width > 1 and addr % width:
-            raise LockstepBail(LS_MISALIGNED)
-        is_l1, base = self.locate(addr, addr + width - 1)
-        offset = addr - base
-        view = self._view(is_l1, width)
-        if self.lanes_identical(is_l1, offset, offset + width - 1):
-            return int(view[0, offset // width]), is_l1
-        column = view[:, offset // width]
-        first = int(column[0])
-        if (column == first).all():
-            return first, is_l1
-        return column.astype(np.uint64), is_l1
-
-    def store_scalar(self, addr: int, value, width: int) -> bool:
-        """Store int-or-(n,) ``value`` at one address in every lane."""
-        if width > 1 and addr % width:
-            raise LockstepBail(LS_MISALIGNED)
-        is_l1, base = self.locate(addr, addr + width - 1)
-        view = self._view(is_l1, width)
-        mask = (1 << (8 * width)) - 1
-        offset = addr - base
-        if isinstance(value, np.ndarray):
-            view[:, offset // width] = (
-                value.astype(np.uint64) & np.uint64(mask)
-            ).astype(view.dtype)
-            self.mark_divergent(is_l1, offset, offset + width - 1)
-        else:
-            view[:, offset // width] = int(value) & mask
-        return is_l1
-
-    def load_lanes(self, addr: np.ndarray, width: int):
-        """Load a per-lane (n,) address vector: one value per lane."""
-        lo = int(addr.min())
-        hi = int(addr.max()) + width - 1
-        if width > 1 and (addr % width).any():
-            raise LockstepBail(LS_MISALIGNED)
-        is_l1, base = self.locate(lo, hi)
-        view = self._view(is_l1, width)
-        offsets = (addr.astype(np.int64) - base) // width
-        if self.lanes_identical(is_l1, lo - base, hi - base):
-            values = view[0, offsets]
-        else:
-            values = view[np.arange(self.n_lanes), offsets]
-        first = int(values[0])
-        if (values == first).all():
-            return first, is_l1
-        return values.astype(np.uint64), is_l1
-
-    def gather_cols(
-        self, offsets, width: int, is_l1: bool, lo_off: int, hi_off: int
-    ):
-        """Gather lane-uniform trip addresses: (T,) offsets (or a column
-        slice) → (T, n), or (T, 1) when every lane holds the same bytes.
-
-        ``[lo_off, hi_off]`` is the access's byte range within the
-        region; provably lane-identical ranges read lane 0 only.
-        """
-        view = self._view(is_l1, width)
-        if self.lanes_identical(is_l1, lo_off, hi_off):
-            return view[0, offsets].astype(np.uint64)[:, None]
-        values = view[:, offsets].T.astype(np.uint64)
-        if self.n_lanes > 1 and (values == values[:, :1]).all():
-            return values[:, :1]
-        return values
-
-    def gather_2d(
-        self,
-        offsets: np.ndarray,
-        width: int,
-        is_l1: bool,
-        lo_off: int,
-        hi_off: int,
-    ):
-        """Gather per-(trip, lane) addresses: (T, n) offsets → (T, n)."""
-        view = self._view(is_l1, width)
-        if self.lanes_identical(is_l1, lo_off, hi_off):
-            return view[0, offsets].astype(np.uint64)
-        return view[
-            np.arange(self.n_lanes)[None, :], offsets
-        ].astype(np.uint64)
-
-    def scatter_cols(
-        self, offsets, values, width: int, is_l1: bool,
-        lo_off: int, hi_off: int,
-    ) -> None:
-        """Scatter to lane-uniform trip addresses ((T,) offsets or a
-        column slice)."""
-        view = self._view(is_l1, width)
-        mask = (1 << (8 * width)) - 1
-        if isinstance(values, np.ndarray):
-            masked = (values.astype(np.uint64) & np.uint64(mask)).astype(
-                view.dtype
-            )
-            if masked.ndim == 2 and masked.shape[1] > 1:
-                view[:, offsets] = masked.T
-                self.mark_divergent(is_l1, lo_off, hi_off)
-            elif masked.ndim == 2:
-                view[:, offsets] = masked[:, 0]
-            else:  # (n,) per-lane value, every trip column
-                view[:, offsets] = masked[:, None]
-                self.mark_divergent(is_l1, lo_off, hi_off)
-        else:
-            view[:, offsets] = int(values) & mask
-
-    def dma_copy(self, src, dst: int, size: int) -> None:
-        """Per-lane byte copy (functional half of a DMA transfer)."""
-        if size == 0:
-            return
-        dst_l1, dst_base = self.locate(dst, dst + size - 1)
-        dst_buf = self._l1 if dst_l1 else self._l2
-        doff = dst - dst_base
-        if isinstance(src, np.ndarray):
-            lo = int(src.min())
-            hi = int(src.max()) + size - 1
-            src_l1, src_base = self.locate(lo, hi)
-            src_buf = self._l1 if src_l1 else self._l2
-            offsets = src.astype(np.int64) - src_base
-            for lane in range(self.n_lanes):
-                start = int(offsets[lane])
-                dst_buf[lane, doff : doff + size] = src_buf[
-                    lane, start : start + size
-                ]
-            self.mark_divergent(dst_l1, doff, doff + size - 1)
-        else:
-            src = int(src)
-            src_l1, src_base = self.locate(src, src + size - 1)
-            src_buf = self._l1 if src_l1 else self._l2
-            soff = src - src_base
-            block = src_buf[:, soff : soff + size]
-            if src_buf is dst_buf:
-                block = block.copy()
-            dst_buf[:, doff : doff + size] = block
-            if not self.lanes_identical(src_l1, soff, soff + size - 1):
-                self.mark_divergent(dst_l1, doff, doff + size - 1)
-
-    def read_lane_word(self, lane: int, addr: int) -> int:
-        """Untimed aligned 32-bit read from one lane's image."""
-        if addr & 3:
-            raise LockstepBail(LS_MISALIGNED)
-        is_l1, base = self.locate(addr, addr + 3)
-        return int(self._view(is_l1, 4)[lane, (addr - base) // 4])
-
-    def lane_image(self, lane: int) -> LaneImage:
-        """Materialize one lane's memory as an immutable snapshot."""
-        return LaneImage(
-            self._l1[lane].tobytes(), self._l2[lane].tobytes()
-        )
-
-
 class _LanedDMA:
     """Busy-until DMA clock shared by all lanes (sizes are uniform)."""
 
@@ -499,281 +171,6 @@ class _LanedDMA:
         start = max(self.busy_until, issue_cycle)
         self.busy_until = start + -(-size // self._bytes_per_cycle)
         self.total_bytes += size
-
-
-class _LanedReduction:
-    """Per-lane reduction accumulator ((n,) twin of ``_Reduction``)."""
-
-    __slots__ = ("op", "base", "acc")
-
-    def __init__(self, op: int, base, n_lanes: int):
-        self.op = op
-        self.base = base
-        if op == _OP_AND:
-            self.acc = np.full(n_lanes, _MASK32, dtype=np.uint64)
-        else:
-            self.acc = np.zeros(n_lanes, dtype=np.uint64)
-
-    def feed(self, value, lanes: int) -> None:
-        op = self.op
-        if isinstance(value, np.ndarray) and value.ndim == 2:
-            # Trip-varying feed: reduce over the trip axis per lane.
-            if op == _OP_ADD:
-                self.acc = (
-                    self.acc + value.sum(axis=0, dtype=np.uint64)
-                ) & _M64
-            elif op == _OP_OR:
-                self.acc |= np.bitwise_or.reduce(value, axis=0)
-            elif op == _OP_XOR:
-                self.acc ^= np.bitwise_xor.reduce(value, axis=0)
-            else:
-                self.acc &= np.bitwise_and.reduce(value, axis=0)
-        else:
-            # Trip-invariant feed (int or per-lane (n,)): closed form.
-            if op == _OP_ADD:
-                self.acc = (self.acc + np.uint64(0) + value * lanes) & _M64
-            elif op == _OP_OR:
-                self.acc |= np.uint64(0) + value
-            elif op == _OP_XOR:
-                if lanes & 1:
-                    self.acc ^= np.uint64(0) + value
-            else:
-                self.acc &= np.uint64(0) + value
-
-    def fold(self) -> np.ndarray:
-        base = np.uint64(0) + self.base  # int or (n,) → uint64
-        if self.op == _OP_ADD:
-            return (base + self.acc) & _M64
-        if self.op == _OP_OR:
-            return base | self.acc
-        if self.op == _OP_XOR:
-            return base ^ self.acc
-        return base & self.acc
-
-
-class _LanedVectorRun(_VectorRun):
-    """A :class:`_VectorRun` whose lanes span (trips × windows).
-
-    Trip-varying values are carried as ``(T, 1)`` (window-uniform) or
-    ``(T, n)`` arrays, window-varying loop invariants as ``(n,)``; the
-    inherited ``run_nodes`` / ``eval_prepared`` / compiled segment
-    closures are shape-agnostic, so only state setup, the memory hooks,
-    and commit differ from the scalar engine.
-    """
-
-    def __init__(self, state: "_LaneCore", plan, trips: int):
-        self.core = state
-        self.plan = plan
-        self.trips = trips
-        self.decoded = state.compiled.decoded
-        self.profile = state.profile
-        self.memory = state.lmem
-        self.n_l1 = 0
-        self.n_l2 = 0
-        self.base_cycles = 0
-        self.n_instr = 0
-        self.stores: List[tuple] = []
-        self.loads: List[tuple] = []
-        # instr_count becomes a lane array after a predicated branch;
-        # budget against the worst lane so no lane can cross the cap.
-        instr_count = state.instr_count
-        if isinstance(instr_count, np.ndarray):
-            instr_count = int(instr_count.max())
-        self.budget = state.max_instructions - instr_count
-        self._taken = 1 + state.profile.branch_taken_penalty
-        self._not_taken = 1 + state.profile.branch_not_taken_penalty
-        regs = state.regs
-        sym: List = list(regs)
-        sym[0] = 0
-        lanes = np.arange(trips, dtype=np.uint64)[:, None]  # (T, 1)
-        for reg, step in plan.inductions.items():
-            if reg == 0:
-                continue
-            base = regs[reg]
-            if isinstance(base, np.ndarray):
-                base = base[None, :]  # (1, n) → broadcast to (T, n)
-            else:
-                base = np.uint64(base)
-            sym[reg] = (base + lanes * np.uint64(step & _MASK32)) & _M64
-        for _pc, (reg, op, _src) in plan.reduction_pcs.items():
-            if reg:
-                sym[reg] = _LanedReduction(op, regs[reg], state.n_lanes)
-        self.sym = sym
-
-    # -- memory hooks ------------------------------------------------------
-
-    def _load(self, addr, width: int):
-        lmem: LanedMemory = self.memory
-        try:
-            if isinstance(addr, np.ndarray):
-                if addr.ndim == 2 and addr.shape[1] == 1:
-                    # Lane-uniform trip addresses.  Affine strides (the
-                    # overwhelmingly common case) pin the bounds and
-                    # alignment from the endpoints alone, and
-                    # unit-stride runs gather through a column slice
-                    # instead of a fancy index.
-                    flat = addr[:, 0]
-                    stride = _affine_stride(flat)
-                    if stride is not None:
-                        lo = int(flat[0])
-                        hi = int(flat[-1]) + width - 1
-                        if width > 1 and (
-                            lo % width or stride % width
-                        ):
-                            raise LockstepBail(LS_MISALIGNED)
-                    else:
-                        lo = int(flat.min())
-                        hi = int(flat.max()) + width - 1
-                        if width > 1 and (flat % width).any():
-                            raise LockstepBail(LS_MISALIGNED)
-                    self._check_no_store_overlap(
-                        lo, hi, flat, width, stride
-                    )
-                    is_l1, base = lmem.locate(lo, hi)
-                    if stride == width:
-                        col0 = (lo - base) // width
-                        sel = slice(col0, col0 + flat.shape[0])
-                    else:
-                        sel = (flat.astype(np.int64) - base) // width
-                    values = lmem.gather_cols(
-                        sel, width, is_l1, lo - base, hi - base
-                    )
-                    self.loads.append((lo, hi, flat, width, stride))
-                elif addr.ndim == 2:
-                    # Per-(trip, lane) addresses.
-                    lo = int(addr.min())
-                    hi = int(addr.max()) + width - 1
-                    if width > 1 and (addr % width).any():
-                        raise LockstepBail(LS_MISALIGNED)
-                    self._check_no_store_overlap(lo, hi, None, width, None)
-                    is_l1, base = lmem.locate(lo, hi)
-                    values = lmem.gather_2d(
-                        (addr.astype(np.int64) - base) // width,
-                        width,
-                        is_l1,
-                        lo - base,
-                        hi - base,
-                    )
-                    self.loads.append((lo, hi, None, width, None))
-                else:
-                    # Per-lane loop-invariant address (n,).
-                    lo = int(addr.min())
-                    hi = int(addr.max()) + width - 1
-                    self._check_no_store_overlap(lo, hi, None, width, None)
-                    values, is_l1 = lmem.load_lanes(addr, width)
-                    self.loads.append((lo, hi, None, width, None))
-            else:
-                addr = int(addr)
-                lo, hi = addr, addr + width - 1
-                self._check_no_store_overlap(lo, hi, addr, width, None)
-                values, is_l1 = lmem.load_scalar(addr, width)
-                self.loads.append((lo, hi, addr, width, None))
-        except LockstepBail as bail:
-            # Inside a vector attempt a memory-model refusal is a plan
-            # bail (scalar lockstep execution may still handle it).
-            raise _Bail(LANED_BAIL_PREFIX + bail.reason)
-        if is_l1:
-            self.n_l1 += self.trips
-        else:
-            self.n_l2 += self.trips
-        return values
-
-    def _store(self, addr, value, width: int) -> None:
-        lmem: LanedMemory = self.memory
-        if isinstance(addr, np.ndarray):
-            if addr.ndim != 2 or addr.shape[1] != 1:
-                raise _Bail(LANED_BAIL_PREFIX + LS_LANED_STORE_ADDRESSES)
-            flat = addr[:, 0]
-            stride = _affine_stride(flat)
-            if stride is not None:
-                lo = int(flat[0])
-                hi = int(flat[-1]) + width - 1
-                if width > 1 and (lo % width or stride % width):
-                    raise _Bail(LANED_BAIL_PREFIX + LS_MISALIGNED)
-            else:
-                lo = int(flat.min())
-                hi = int(flat.max()) + width - 1
-                if width > 1 and (flat % width).any():
-                    raise _Bail(LANED_BAIL_PREFIX + LS_MISALIGNED)
-                if np.unique(flat).size != flat.size:
-                    raise _Bail("duplicate-store-lanes")
-            try:
-                is_l1, _ = lmem.locate(lo, hi)
-            except LockstepBail as bail:
-                raise _Bail(LANED_BAIL_PREFIX + bail.reason)
-            self._check_no_store_overlap(lo, hi, flat, width, stride)
-            self._check_no_load_overlap(lo, hi, flat, width, stride)
-            self.stores.append((lo, hi, flat, value, width, stride))
-        else:
-            addr = int(addr)
-            lo, hi = addr, addr + width - 1
-            if width > 1 and addr % width:
-                raise _Bail(LANED_BAIL_PREFIX + LS_MISALIGNED)
-            try:
-                is_l1, _ = lmem.locate(lo, hi)
-            except LockstepBail as bail:
-                raise _Bail(LANED_BAIL_PREFIX + bail.reason)
-            if isinstance(value, np.ndarray) and value.ndim == 2:
-                value = value[-1]  # last trip wins on one address
-                if value.shape[0] == 1 or (value == value[0]).all():
-                    value = int(value[0])
-            self._check_no_store_overlap(lo, hi, addr, width, None)
-            self._check_no_load_overlap(lo, hi, addr, width, None)
-            self.stores.append((lo, hi, addr, value, width, None))
-        if is_l1:
-            self.n_l1 += self.trips
-        else:
-            self.n_l2 += self.trips
-
-    # -- commit ------------------------------------------------------------
-
-    def commit(self) -> None:
-        state: _LaneCore = self.core
-        lmem: LanedMemory = self.memory
-        for lo, _hi, addr, value, width, stride in self.stores:
-            if isinstance(addr, np.ndarray):
-                is_l1, base = lmem.locate(lo, _hi)
-                if stride == width:
-                    col0 = (lo - base) // width
-                    sel = slice(col0, col0 + addr.shape[0])
-                else:
-                    sel = (addr.astype(np.int64) - base) // width
-                lmem.scatter_cols(
-                    sel, value, width, is_l1, lo - base, _hi - base
-                )
-            else:
-                lmem.store_scalar(addr, value, width)
-        regs = state.regs
-        # Only body-written registers can have changed in sym.
-        for reg in self.plan.written_regs:
-            if not reg:
-                continue
-            value = self.sym[reg]
-            if isinstance(value, _LanedReduction):
-                folded = value.fold()
-                uniform = _uniform_int(folded)
-                regs[reg] = folded if uniform is None else uniform
-            elif isinstance(value, np.ndarray):
-                if value.ndim == 2:
-                    last = value[-1]
-                    if last.shape[0] == 1:
-                        regs[reg] = int(last[0])
-                    else:
-                        uniform = _uniform_int(last)
-                        regs[reg] = (
-                            last.astype(np.uint64)
-                            if uniform is None
-                            else uniform
-                        )
-                else:
-                    uniform = _uniform_int(value)
-                    regs[reg] = value if uniform is None else uniform
-            else:
-                regs[reg] = value
-        state.cycles += self.base_cycles + lmem.bulk_stalls(
-            self.n_l1, self.n_l2
-        )
-        state.instr_count += self.n_instr
 
 
 class _LaneCore(DispatchCore):
@@ -806,8 +203,6 @@ class _LaneCore(DispatchCore):
         "_block_cache",
         "_pred_cache",
     )
-
-    _vector_run_cls = _LanedVectorRun
 
     def __init__(
         self,

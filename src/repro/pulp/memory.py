@@ -23,11 +23,6 @@ this approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
-
-_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4"}
 
 L1_BASE = 0x1000_0000
 """Start of the shared L1 TCDM region."""
@@ -177,71 +172,7 @@ class MemorySystem:
         buf[offset : offset + 2] = (value & 0xFFFF).to_bytes(2, "little")
         return self._stall_for(is_l1)
 
-    # -- bulk access (fast-path vector engine) -----------------------------
-
-    def locate_bulk(self, lo: int, hi: int) -> Optional[Tuple[bool, int]]:
-        """Classify the address range [lo, hi] (inclusive).
-
-        Returns ``(is_l1, region_base)`` when the whole range fits in a
-        single region, else ``None`` (the caller must fall back to
-        scalar execution, which reports the precise faulting access).
-        """
-        if L1_BASE <= lo and hi < self._l1_end:
-            return True, L1_BASE
-        if L2_BASE <= lo and hi < self._l2_end:
-            return False, L2_BASE
-        return None
-
-    def gather(
-        self, addrs: np.ndarray, width: int
-    ) -> Optional[Tuple[np.ndarray, bool]]:
-        """Untimed batched load of ``width``-byte values.
-
-        ``addrs`` is an integer array of byte addresses.  Returns
-        ``(values_as_uint64, is_l1)``, or ``None`` when the accesses span
-        regions, fall outside memory, or are misaligned — the caller
-        falls back to scalar execution so errors surface exactly as the
-        interpreter reports them.  No stall accounting happens here; the
-        caller totals stalls through :meth:`bulk_stalls`.
-        """
-        lo = int(addrs.min())
-        hi = int(addrs.max()) + width - 1
-        located = self.locate_bulk(lo, hi)
-        if located is None:
-            return None
-        is_l1, base = located
-        offsets = addrs.astype(np.int64) - base
-        if width > 1 and (offsets % width).any():
-            return None
-        buf = self._l1 if is_l1 else self._l2
-        view = np.frombuffer(buf, dtype=_DTYPES[width])
-        return view[offsets // width].astype(np.uint64), is_l1
-
-    def scatter(
-        self, addrs: np.ndarray, values: np.ndarray, width: int
-    ) -> bool:
-        """Untimed batched store; the counterpart of :meth:`gather`.
-
-        The caller must have validated the access through a prior
-        :meth:`gather`-style check (single region, aligned, duplicate
-        free); this re-derives the region and writes through a NumPy
-        view.  Returns ``is_l1`` for stall classification.
-        """
-        lo = int(addrs.min())
-        hi = int(addrs.max()) + width - 1
-        located = self.locate_bulk(lo, hi)
-        if located is None:  # pragma: no cover - caller pre-validates
-            raise MemoryError_(
-                f"bulk store of width {width} spans regions "
-                f"(0x{lo:08x}..0x{hi:08x})"
-            )
-        is_l1, base = located
-        offsets = addrs.astype(np.int64) - base
-        buf = self._l1 if is_l1 else self._l2
-        view = np.frombuffer(buf, dtype=_DTYPES[width])
-        mask = (1 << (8 * width)) - 1
-        view[offsets // width] = (values & mask).astype(_DTYPES[width])
-        return is_l1
+    # -- closed-form timing (vector passes) -------------------------------
 
     def bulk_stalls(self, n_l1: int, n_l2: int) -> int:
         """Total stall cycles for a batch of accesses, in closed form.

@@ -50,8 +50,7 @@ serving never retrains the *shared* model — but a session opened with
 service can host several models side by side (``models=...`` +
 ``open_session(..., model_id=...)``) with gated bit-exact hot-swap
 (``swap_model``).  ``python -m repro.stream`` runs a synthetic-EMG
-demo (``--shards N`` for the multi-process front end); ``--selftest``
-checks streaming/offline and sharded/single-process parity end to end;
+demo (``--shards N`` for the multi-process front end);
 ``--serve HOST:PORT`` / ``--client HOST:PORT`` run the network ingress
 server and a workload-driving client.
 """

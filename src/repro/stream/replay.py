@@ -27,7 +27,7 @@ module provides the three pieces that turn that property into tests:
 
 ``tests/stream/test_sharded.py`` pins the sharded front end to the
 single-process service with this harness; ``benchmarks/bench_stream.py``
-and the ``python -m repro.stream`` selftest replay the same traces.
+replays the same traces.
 """
 
 from __future__ import annotations

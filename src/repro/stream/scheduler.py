@@ -772,11 +772,24 @@ class StreamingService:
         windows on fleet-wide traffic, and a respawned shard replaying
         its journal reproduces the original batching decisions exactly.
         Injected ticks must be strictly increasing per service.
+
+        A chunk that is not a finite ``(k, n_channels)`` array raises
+        ``ValueError`` before the clock or any session state changes:
+        the session stays open, and no other session's decisions move.
         """
         try:
             session = self._sessions[session_id]
         except KeyError:
             raise KeyError(f"session {session_id!r} is not open") from None
+        samples = np.asarray(samples, dtype=np.float64)
+        n_channels = session.windower.n_channels
+        if samples.ndim != 2 or samples.shape[1] != n_channels:
+            raise ValueError(
+                f"expected (k, {n_channels}) samples, "
+                f"got shape {samples.shape}"
+            )
+        if not np.isfinite(samples).all():
+            raise ValueError("samples must be finite (got NaN or inf)")
         if tick is None:
             self._clock += 1
         else:

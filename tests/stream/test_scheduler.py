@@ -17,6 +17,7 @@ from repro.stream import (
     MajorityVoteSmoother,
     StreamConfig,
     StreamingService,
+    stream_bytes,
 )
 
 DIM = 256
@@ -91,6 +92,68 @@ class TestSessionLifecycle:
         )
         with pytest.raises(RuntimeError):
             _service(unfitted)
+
+
+class TestHostileInput:
+    """A rejected chunk changes nothing: not the service clock, not its
+    own session, and never a neighbour's decisions."""
+
+    @staticmethod
+    def _run(model, streams, poison=None):
+        """Feed 100-sample chunks round-robin; ``poison`` = (session,
+        chunk index, bad chunk) is sent in place of that chunk and must
+        be rejected.  Returns each session's decision bytes."""
+        service = _service(model, max_batch=32, max_wait=3)
+        for s in range(len(streams)):
+            service.open_session(s)
+        decisions = {s: [] for s in range(len(streams))}
+        for chunk in range(streams[0].shape[0] // 100):
+            for s, stream in enumerate(streams):
+                if poison is not None and poison[:2] == (s, chunk):
+                    clock = service.clock
+                    with pytest.raises(ValueError):
+                        service.ingest(s, poison[2])
+                    assert service.clock == clock
+                    continue
+                for d in service.ingest(
+                    s, stream[chunk * 100 : (chunk + 1) * 100]
+                ):
+                    decisions[d.session_id].append(d)
+        for d in service.drain():
+            decisions[d.session_id].append(d)
+        assert {s.id for s in service.sessions} == set(decisions)
+        return {s: stream_bytes(ds) for s, ds in decisions.items()}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "nan",
+            "inf",
+            "wrong-channels",
+            "one-dimensional",
+        ],
+    )
+    def test_rejected_chunk_leaves_neighbour_bytes_intact(
+        self, model, rng, bad
+    ):
+        streams = [rng.random((600, 4)) for _ in range(2)]
+        chunk = streams[0][300:400].copy()
+        if bad == "nan":
+            chunk[17, 2] = np.nan
+        elif bad == "inf":
+            chunk[5, 0] = -np.inf
+        elif bad == "wrong-channels":
+            chunk = chunk[:, :3]
+        else:
+            chunk = chunk[0]
+        clean = self._run(model, streams)
+        poisoned = self._run(model, streams, poison=(0, 3, chunk))
+        assert poisoned[1] == clean[1]
+        # Session 0 stayed open and continued as if the rejected chunk
+        # had never been sent.
+        skipped = np.delete(streams[0], slice(300, 400), axis=0)
+        reference = self._run(model, [skipped, streams[1][:500]])
+        assert poisoned[0] == reference[0]
 
 
 class TestBatchingPolicy:
