@@ -139,4 +139,4 @@ def test_bench_batch_window_encode(benchmark):
     rng = np.random.default_rng(12)
     clf = BatchHDClassifier(HDClassifierConfig(dim=DIM))
     windows = rng.uniform(0, 21, size=(64, 5, 4))
-    benchmark(clf.encode_windows, windows)
+    benchmark(clf.encoder.encode_batch, windows)

@@ -19,7 +19,12 @@ Public surface:
   :class:`~repro.hdc.encoder.WindowEncoder` — the processing chain.
 * :class:`~repro.hdc.associative_memory.AssociativeMemory` — prototype
   storage and nearest-prototype search.
-* :class:`~repro.hdc.classifier.HDClassifier` — end-to-end fit/predict.
+* :class:`~repro.hdc.classifier.HDClassifier` — the one trainable
+  frontend: fit/predict over a packed prototype matrix, served by
+  :mod:`repro.stream`, persisted by :mod:`~repro.hdc.serialize` and
+  loaded onto the ISS by :mod:`repro.kernels.chain`.
+  ``BatchHDClassifier`` is a second name for the same class.
+* :class:`~repro.hdc.online.OnlineHDClassifier` — continuous AM updates.
 * :mod:`~repro.hdc.reference` — the unpacked golden model used for
   bit-exact validation (the paper's MATLAB reference).
 * :mod:`~repro.hdc.serialize` — the versioned model store: bit-exact
@@ -32,7 +37,6 @@ from .associative_memory import (
     PrototypeAccumulator,
     bulk_distances,
 )
-from .batch import BatchHDClassifier
 from .classifier import HDClassifier, HDClassifierConfig
 from .encoder import SpatialEncoder, TemporalEncoder, WindowEncoder
 from .engine import HypervectorArray
@@ -59,6 +63,8 @@ from .serialize import (
     model_info,
     save_model,
 )
+
+BatchHDClassifier = HDClassifier  # the batched classifier's former name
 
 __all__ = [
     "AdaptConfig",

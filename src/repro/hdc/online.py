@@ -28,42 +28,30 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .associative_memory import AssociativeMemory
-from .classifier import HDClassifierConfig, try_stack_windows
-from .encoder import SpatialEncoder, TemporalEncoder, WindowEncoder
+from .associative_memory import AssociativeMemory, PrototypeAccumulator
+from .classifier import HDClassifierConfig, seeded_encoder, try_stack_windows
+from .encoder import WindowEncoder
 from .hypervector import BinaryHypervector
-from .item_memory import ContinuousItemMemory, ItemMemory
-from . import engine, ops
-
-
-@dataclass
-class _ClassState:
-    counts: np.ndarray  # per-component one counts (int64)
-    total: int
-    first: Optional[BinaryHypervector]
-    tiebreak: Optional[BinaryHypervector]
+from . import engine
 
 
 class OnlineHDClassifier:
     """An HD classifier whose associative memory learns continuously.
 
-    Construction matches :class:`~repro.hdc.classifier.HDClassifier`
-    (same seeds ⇒ same IM/CIM); instead of a one-shot ``fit`` the model
-    exposes :meth:`update` and keeps its prototypes current after every
-    call.  A model warm-started with the same training windows in the
-    same order is bit-identical to the off-line classifier.
+    Construction is :class:`~repro.hdc.classifier.HDClassifier`'s
+    (:func:`~repro.hdc.classifier.seeded_encoder`: same seeds ⇒ same
+    IM/CIM), and each class keeps one
+    :class:`~repro.hdc.associative_memory.PrototypeAccumulator`.
+    Instead of a one-shot ``fit`` the model exposes :meth:`update` and
+    keeps its prototypes current after every call.  A model
+    warm-started with the same training windows in the same order is
+    bit-identical to the off-line classifier.
     """
 
     def __init__(self, config: HDClassifierConfig):
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        im = ItemMemory.for_channels(config.n_channels, config.dim, rng)
-        cim = ContinuousItemMemory(config.n_levels, config.dim, rng)
-        self._encoder = WindowEncoder(
-            SpatialEncoder(im, cim, config.signal_lo, config.signal_hi),
-            TemporalEncoder(config.ngram_size),
-        )
-        self._state: Dict[Hashable, _ClassState] = {}
+        self._encoder = seeded_encoder(config)
+        self._state: Dict[Hashable, PrototypeAccumulator] = {}
         self._am: Optional[AssociativeMemory] = None
         self.n_updates = 0
 
@@ -87,22 +75,10 @@ class OnlineHDClassifier:
     # -- learning ---------------------------------------------------------
 
     def _fold_in(self, label: Hashable, query: BinaryHypervector) -> None:
-        state = self._state.get(label)
-        if state is None:
-            state = self._state[label] = _ClassState(
-                counts=np.zeros(self.config.dim, dtype=np.int64),
-                total=0,
-                first=None,
-                tiebreak=None,
-            )
-        state.counts += engine.bit_counts(
-            query.words64[None, :], self.config.dim
-        )
-        state.total += 1
-        if state.first is None:
-            state.first = query
-        elif state.tiebreak is None:
-            state.tiebreak = state.first ^ query
+        acc = self._state.get(label)
+        if acc is None:
+            acc = self._state[label] = PrototypeAccumulator(self.config.dim)
+        acc.add(query)
         self.n_updates += 1
 
     def _reproject(self) -> None:
@@ -112,18 +88,9 @@ class OnlineHDClassifier:
             # would defeat the ``associative_memory`` "no updates yet"
             # guard (and turn its RuntimeError into an AM ValueError).
             return
-        am = AssociativeMemory(self.config.dim)
-        for label, state in self._state.items():
-            if state.total == 1:
-                am.store(label, state.first)
-            else:
-                am.store(
-                    label,
-                    ops.bundle_counts(
-                        state.counts, state.total, state.tiebreak
-                    ),
-                )
-        self._am = am
+        self._am = AssociativeMemory.from_prototypes(
+            {label: acc.finalize() for label, acc in self._state.items()}
+        )
 
     def update(
         self,

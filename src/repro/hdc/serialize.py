@@ -1,6 +1,6 @@
 """Versioned model store: bit-exact save/load of trained HD models.
 
-Serving never retrains.  A trained :class:`~repro.hdc.batch.BatchHDClassifier`
+Serving never retrains.  A trained :class:`~repro.hdc.classifier.HDClassifier`
 is fully determined by its seed memories (IM, CIM), its AM prototype matrix,
 its class labels, and the hyper-parameter config — this module persists
 exactly that state to a single ``.npz`` file and rebuilds a classifier from
@@ -51,8 +51,7 @@ from typing import Dict, Hashable, List, Optional, Tuple, Union
 import numpy as np
 
 from . import bitpack
-from .batch import BatchHDClassifier
-from .classifier import HDClassifierConfig
+from .classifier import HDClassifier, HDClassifierConfig
 from .item_memory import ContinuousItemMemory, ItemMemory
 
 MODEL_MAGIC = "repro-hdc-model"
@@ -103,7 +102,7 @@ def _pad_rows_even(words: np.ndarray) -> np.ndarray:
 
 def save_model(
     path: Union[str, pathlib.Path],
-    classifier: BatchHDClassifier,
+    classifier: HDClassifier,
     version: int = MODEL_VERSION,
 ) -> pathlib.Path:
     """Persist a fitted classifier to ``path`` (a ``.npz`` model file).
@@ -288,8 +287,8 @@ def _load_header(
     return config, labels, version
 
 
-def load_model(path: Union[str, pathlib.Path]) -> BatchHDClassifier:
-    """Load a model file into a ready-to-serve :class:`BatchHDClassifier`.
+def load_model(path: Union[str, pathlib.Path]) -> HDClassifier:
+    """Load a model file into a ready-to-serve :class:`HDClassifier`.
 
     The rebuilt classifier predicts bit-identically to the instance that
     was saved: seed memories, prototypes, and label order are adopted
@@ -310,7 +309,7 @@ def load_model(path: Union[str, pathlib.Path]) -> BatchHDClassifier:
             _require(archive, "am_u32"), "am_u32", len(labels),
             config.dim, version,
         )
-    return BatchHDClassifier.from_state(
+    return HDClassifier.from_state(
         config,
         ItemMemory.from_words64(im64, config.dim),
         ContinuousItemMemory.from_words64(cim64, config.dim),
@@ -359,7 +358,7 @@ class ModelStore:
         self._root = pathlib.Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
         self._use_mmap = bool(use_mmap)
-        self._cache: Dict[Tuple[str, int], BatchHDClassifier] = {}
+        self._cache: Dict[Tuple[str, int], HDClassifier] = {}
 
     def __enter__(self) -> "ModelStore":
         return self
@@ -443,7 +442,7 @@ class ModelStore:
     def publish(
         self,
         model_id: str,
-        classifier: BatchHDClassifier,
+        classifier: HDClassifier,
         activate: bool = True,
     ) -> int:
         """Write the next version of ``model_id``; returns its number."""
@@ -470,7 +469,7 @@ class ModelStore:
 
     def load(
         self, model_id: str, version: Optional[int] = None
-    ) -> BatchHDClassifier:
+    ) -> HDClassifier:
         """The classifier for ``(model_id, version)``, cached."""
         if version is None:
             version = self.current_version(model_id)
@@ -489,7 +488,7 @@ class ModelStore:
     def hot_swap(
         self,
         model_id: str,
-        classifier: BatchHDClassifier,
+        classifier: HDClassifier,
         gate_windows: Optional[np.ndarray] = None,
     ) -> int:
         """Publish + gate + atomically cut over; returns the version.
@@ -516,8 +515,8 @@ class ModelStore:
 
     @staticmethod
     def _gate_bit_exact(
-        loaded: BatchHDClassifier,
-        candidate: BatchHDClassifier,
+        loaded: HDClassifier,
+        candidate: HDClassifier,
         gate_windows: Optional[np.ndarray],
     ) -> None:
         if loaded.config != candidate.config:
@@ -621,7 +620,7 @@ def _mmap_member(
     )
 
 
-def load_model_mmap(path: Union[str, pathlib.Path]) -> BatchHDClassifier:
+def load_model_mmap(path: Union[str, pathlib.Path]) -> HDClassifier:
     """Load a model with its packed matrices memory-mapped read-only.
 
     Bit-identical to :func:`load_model` — same validation, same adopted
@@ -629,7 +628,7 @@ def load_model_mmap(path: Union[str, pathlib.Path]) -> BatchHDClassifier:
     file mapping, so concurrent worker processes serving one store share
     a single physical copy of the model (copy-on-write pages that are
     never written).  The exposed arrays are read-only: any attempt to
-    write through :attr:`~repro.hdc.batch.BatchHDClassifier.prototype_words`
+    write through :attr:`~repro.hdc.classifier.HDClassifier.prototype_words`
     raises ``ValueError``.  This is the load path of each shard worker in
     :mod:`repro.stream.sharded`.
     """
@@ -654,7 +653,7 @@ def load_model_mmap(path: Union[str, pathlib.Path]) -> BatchHDClassifier:
         raise
     except Exception as exc:
         raise ModelFormatError(f"cannot map model file {path}: {exc}")
-    return BatchHDClassifier.from_state(
+    return HDClassifier.from_state(
         config,
         ItemMemory.from_words64(mapped["im_u32"], config.dim),
         ContinuousItemMemory.from_words64(mapped["cim_u32"], config.dim),

@@ -487,7 +487,7 @@ class HDChainSimulator:
             dim=cfg.dim,
             n_channels=cfg.n_channels,
             n_levels=cfg.n_levels,
-            n_classes=len(classifier.associative_memory),
+            n_classes=len(classifier.labels),
             ngram=cfg.ngram_size,
             window=window if window is not None else 5,
         )
@@ -504,7 +504,7 @@ class HDChainSimulator:
         sim.load_model(
             spatial.item_memory.as_matrix(),
             spatial.continuous_memory.as_matrix(),
-            classifier.associative_memory.as_matrix(),
+            classifier.am_matrix(),
         )
         return sim
 

@@ -54,9 +54,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .scheduler import StreamConfig
+from .scheduler import StreamConfig, check_chunk
 from .wire import (
     ERR_PROTOCOL,
+    ERR_SAMPLES,
     ERR_SESSION,
     ERR_SHED,
     ERR_SLOW,
@@ -602,6 +603,16 @@ class IngressServer:
             )
             return False
         cost = frame.samples.size * 8
+        try:
+            # The frame header fixes the shape; a channel count the
+            # session's model does not take is the service's to reject.
+            check_chunk(frame.samples, frame.samples.shape[1])
+        except ValueError as exc:
+            # Refused before the credit debt, the stamp tracker or the
+            # service moves: return the bytes, keep the session open.
+            self._send(conn, Error(ERR_SAMPLES, str(exc), 0.0, sid))
+            self._send(conn, Credit(cost))
+            return True
         conn.credit_debt += cost
         if conn.credit_debt > self._config.credit_bytes:
             self.stats.protocol_errors += 1
@@ -716,9 +727,21 @@ class IngressServer:
 
     def _fail_session(self, conn: _Connection, sid: str, error) -> None:
         self._forget_session(sid)
+        self._close_in_service(sid)
         self._send(
             conn,
             Error(ERR_SESSION, f"{type(error).__name__}: {error}", 0.0, sid),
+        )
+
+    def _close_in_service(self, sid: str) -> None:
+        """Close a forgotten session in the service too, so its id can
+        be opened again; the close's drain still routes every other
+        session's decisions (a session the service never opened makes
+        the close fail harmlessly)."""
+        self._driver.submit(
+            "close",
+            sid,
+            done=lambda decisions, error: self._route_decisions(decisions),
         )
 
     def _forget_session(self, sid: str) -> None:
@@ -733,7 +756,7 @@ class IngressServer:
         self.stats.connections_closed += 1
         for sid in list(conn.sessions):
             self._forget_session(sid)
-            self._driver.submit("close", sid)
+            self._close_in_service(sid)
         conn.closing = True
         if conn.writer_task is not None:
             if not conn.slow:
@@ -858,7 +881,8 @@ class IngressClient:
 
         ``model_id`` selects one of the server's named models ("" =
         the default); ``adaptive=True`` requests a per-user prototype
-        delta fed by :meth:`feedback`.
+        delta fed by :meth:`feedback`.  Raises ``RuntimeError`` if the
+        server refuses the session for any reason but load shedding.
         """
         loop = asyncio.get_running_loop()
         future = loop.create_future()
@@ -1031,11 +1055,17 @@ class IngressClient:
             return
         if isinstance(frame, Error):
             self.errors.append(frame)
-            if frame.code == ERR_SHED and frame.session_id:
-                future = self._open_waiters.pop(frame.session_id, None)
-                if future is not None and not future.done():
-                    future.set_result((False, frame.retry_after_s))
-            elif frame.session_id:
+            if not frame.session_id:
+                return
+            opening = self._open_waiters.pop(frame.session_id, None)
+            if opening is not None:
+                if opening.done():
+                    return
+                if frame.code == ERR_SHED:
+                    opening.set_result((False, frame.retry_after_s))
+                else:
+                    opening.set_exception(RuntimeError(frame.message))
+            elif frame.code == ERR_SESSION:
                 queue_ = self._feedback_waiters.get(frame.session_id)
                 if queue_:
                     future = queue_.popleft()

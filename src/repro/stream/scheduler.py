@@ -7,7 +7,7 @@ batched encode + AM-search calls on the shared packed engine: one
 one per session.  Because the batched kernels are row-independent (the
 window majority and the AM search never mix rows), a multiplexed batch
 predicts bit-identically to per-session calls — and to the offline
-:class:`~repro.hdc.batch.BatchHDClassifier` on the same windows
+:class:`~repro.hdc.classifier.HDClassifier` on the same windows
 (pinned end-to-end by ``tests/stream/test_scheduler.py``).
 
 Backpressure is two-knobbed, on a deterministic logical clock (one tick
@@ -46,8 +46,7 @@ from typing import Deque, Dict, Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..emg.windows import WindowConfig
-from ..hdc import engine
-from ..hdc.batch import BatchHDClassifier
+from ..hdc import BatchHDClassifier, engine
 from ..hdc.online import AdaptConfig, SessionDelta
 from ..hdc.serialize import CutoverError
 from ..perf.streaming import (
@@ -58,6 +57,24 @@ from ..perf.streaming import (
     wall_histogram,
 )
 from .session import Decision, Session
+
+
+def check_chunk(samples, n_channels: int) -> np.ndarray:
+    """``samples`` as a float64 ``(k, n_channels)`` array of finite values.
+
+    Raises ``ValueError`` for anything else.  Every ingest path (the
+    in-process service, the sharded coordinator, the network ingress)
+    admits a chunk through this one check before any clock, journal,
+    credit or session state moves.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[1] != n_channels:
+        raise ValueError(
+            f"expected (k, {n_channels}) samples, got shape {samples.shape}"
+        )
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite (got NaN or inf)")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -541,9 +558,7 @@ class StreamingService:
             )
         _, window, raw_label = session.recent_window(index)
         entry = self._entry(session.model_id)
-        query = entry.model.encode_windows_packed(
-            window[None, :, :]
-        ).words[0]
+        query = entry.model.encoder.encode_batch(window[None, :, :]).words[0]
         predicted = (
             raw_label if self._config.adapt.policy == "mistake" else None
         )
@@ -781,15 +796,7 @@ class StreamingService:
             session = self._sessions[session_id]
         except KeyError:
             raise KeyError(f"session {session_id!r} is not open") from None
-        samples = np.asarray(samples, dtype=np.float64)
-        n_channels = session.windower.n_channels
-        if samples.ndim != 2 or samples.shape[1] != n_channels:
-            raise ValueError(
-                f"expected (k, {n_channels}) samples, "
-                f"got shape {samples.shape}"
-            )
-        if not np.isfinite(samples).all():
-            raise ValueError("samples must be finite (got NaN or inf)")
+        samples = check_chunk(samples, session.windower.n_channels)
         if tick is None:
             self._clock += 1
         else:
@@ -893,7 +900,7 @@ class StreamingService:
         )
         encoder = entry.model.encoder
         if not self._config.decision_cache:
-            queries = entry.model.encode_windows_packed(stacked)
+            queries = encoder.encode_batch(stacked)
             indices, _ = engine.am_search(queries.words, proto_words)
             return indices
         levels = encoder.spatial.quantize_batch(stacked)

@@ -114,7 +114,7 @@ from ..perf.streaming import (
     StreamStats,
     merge_stream_stats,
 )
-from .scheduler import StreamConfig, StreamingService
+from .scheduler import StreamConfig, StreamingService, check_chunk
 from .session import Decision
 from .shmring import SHM_AVAILABLE, IngestRing
 
@@ -542,8 +542,10 @@ class ShardedStreamingService:
                 f"cannot form the model's {info['ngram_size']}-grams"
             )
         self._model_path = str(model_path)
-        self._model_info = info
         self._model_paths: Dict[str, str] = {}
+        self._model_channels: Dict[Optional[str], int] = {
+            None: info["n_channels"]
+        }
         for mid, path in (models or {}).items():
             if not isinstance(mid, str) or not mid:
                 raise ValueError(
@@ -557,6 +559,7 @@ class ShardedStreamingService:
                     f"{extra['ngram_size']}-grams"
                 )
             self._model_paths[mid] = str(path)
+            self._model_channels[mid] = extra["n_channels"]
         self._config = config
         self._device = device
         self._max_inflight = int(max_inflight)
@@ -583,6 +586,7 @@ class ShardedStreamingService:
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(start_method)
         self._session_shard: Dict[Hashable, int] = {}
+        self._session_channels: Dict[Hashable, int] = {}
         self._delivered: Dict[Hashable, int] = {}
         # Rolling queue-age samples piggybacked on ingest acks, for
         # latency-SLO admission control and autoscaling.
@@ -793,6 +797,7 @@ class ShardedStreamingService:
             ("open", session_id, model_id, bool(adaptive)),
         )
         self._session_shard[session_id] = index
+        self._session_channels[session_id] = self._model_channels[model_id]
         self._delivered[session_id] = 0
         return index
 
@@ -843,6 +848,7 @@ class ShardedStreamingService:
             raise KeyError(
                 f"session {session_id!r} is not open"
             ) from None
+        del self._session_channels[session_id]
         self._post(self._shards[index], ("close", session_id))
 
     def ingest(
@@ -856,6 +862,10 @@ class ShardedStreamingService:
         shard — acknowledged by the time the call completes.  When an
         autoscale policy is attached, this is also where it observes
         load and may trigger a :meth:`rescale`.
+
+        A chunk that is not a finite ``(k, n_channels)`` array raises
+        ``ValueError`` here, before the clock, the journal or any shard
+        moves: no worker ever sees it, and the session stays open.
         """
         self._ensure_open()
         try:
@@ -864,7 +874,9 @@ class ShardedStreamingService:
             raise KeyError(
                 f"session {session_id!r} is not open"
             ) from None
-        samples = np.ascontiguousarray(samples, dtype=np.float64)
+        samples = np.ascontiguousarray(
+            check_chunk(samples, self._session_channels[session_id])
+        )
         self._clock += 1
         self._post(
             self._shards[index],

@@ -73,6 +73,10 @@ socket-level pushback, and a well-behaved client never has more than
 Admission control: an OPEN may be answered with ``ERROR`` code
 ``ERR_SHED`` carrying a ``retry_after_s`` hint instead of OPEN_OK; the
 connection stays usable for other sessions.
+
+A SAMPLES frame carrying NaN or inf is answered with ``ERR_SAMPLES``
+plus a CREDIT returning its bytes; the chunk never reaches the fleet
+and the session stays open.
 """
 
 from __future__ import annotations
@@ -112,6 +116,7 @@ ERR_PROTOCOL = 3  #: malformed or unexpected frame; connection is closed
 ERR_SESSION = 4  #: unknown / already-open session id
 ERR_SLOW = 5  #: client too slow to read; connection is closed
 ERR_SERVER = 6  #: internal service failure
+ERR_SAMPLES = 7  #: SAMPLES chunk rejected; the session stays open
 
 #: Hard ceiling a decoder enforces on any frame (header + body).
 DEFAULT_MAX_FRAME_BYTES = 8 << 20

@@ -110,3 +110,49 @@ class TestAcceleratorOnEMG:
         ).run_window(window)
         assert single.label_index == quad.label_index
         assert single.total_cycles > 3 * quad.total_cycles
+
+
+class TestOneModel:
+    def test_loaded_model_serves_and_runs_on_the_iss(self, tmp_path):
+        """One fitted classifier, saved and mmapped back, is the model
+        the streaming service serves and the ISS chain runs."""
+        from repro.emg.dataset import Trial
+        from repro.emg.windows import windows_from_trial
+        from repro.hdc import load_model_mmap, save_model
+        from repro.stream import StreamConfig, StreamingService
+
+        rng = np.random.default_rng(11)
+        cfg = HDClassifierConfig(dim=256, n_levels=8, signal_hi=1.0)
+        clf = HDClassifier(cfg).fit(
+            list(rng.random((40, 5, 4))), [i % 4 for i in range(40)]
+        )
+        loaded = load_model_mmap(save_model(tmp_path / "model", clf))
+
+        stream = rng.random((300, 4))
+        config = StreamConfig(
+            window=WindowConfig(window_samples=5, skip_onset_s=0.0),
+            max_batch=16,
+            max_wait=2,
+        )
+        service = StreamingService(loaded, config)
+        service.open_session("s")
+        service.ingest("s", stream)
+        service.drain()
+        windows = np.asarray(
+            windows_from_trial(
+                Trial(subject_id=0, gesture=0, repetition=0, envelope=stream),
+                config.window,
+            )
+        )
+        expected = clf.predict(windows)
+        assert loaded.predict(windows) == expected
+        assert [d.raw_label for d in service.sessions[0].decisions] == (
+            expected
+        )
+
+        sim = HDChainSimulator.from_classifier(
+            loaded, PULPV3_SOC, n_cores=4, window=5
+        )
+        for window, label in zip(windows[:4], expected):
+            result = sim.run_window(window, signal_hi=cfg.signal_hi)
+            assert loaded.labels[result.label_index] == label

@@ -30,6 +30,7 @@ from repro.stream import (
 )
 from repro.stream.wire import (
     ERR_PROTOCOL,
+    ERR_SAMPLES,
     ERR_SESSION,
     ERR_SHED,
     ERR_VERSION,
@@ -369,6 +370,150 @@ class TestAdmission:
         frames = asyncio.run(scenario())
         assert frames and isinstance(frames[0], Error)
         assert frames[0].code == ERR_SESSION
+
+
+# -- hostile samples ---------------------------------------------------------
+
+
+class TestHostileSamples:
+    """A hostile SAMPLES frame is refused with a coded ERROR and the
+    session stays open; a session the server does fail is closed in the
+    service too, so its id can be opened again."""
+
+    @pytest.mark.parametrize("backend", ["in-process", "sharded"])
+    def test_nan_frame_refused_session_keeps_streaming(
+        self, model, store, backend
+    ):
+        config = _config(max_batch=8, max_wait=2)
+        rng = np.random.default_rng(5)
+        streams = {sid: rng.random((120, N_CHANNELS)) for sid in "ab"}
+        poison = streams["a"][:20].copy()
+        poison[3, 1] = np.nan
+
+        async def scenario(service, send_poison):
+            async with _Server(service, config) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                for sid in streams:
+                    assert (await client.open(sid))[0]
+                for lo in range(0, 120, 20):
+                    if send_poison and lo == 60:
+                        await client.send("a", poison)
+                    for sid, stream in streams.items():
+                        await client.send(sid, stream[lo : lo + 20])
+                for sid in streams:
+                    await client.close(sid)
+                await client.bye()
+                return client, live.server.stats
+
+        def run(send_poison):
+            if backend == "in-process":
+                return asyncio.run(
+                    scenario(StreamingService(model, config), send_poison)
+                )
+            with ShardedStreamingService(
+                store, config, n_shards=2
+            ) as service:
+                return asyncio.run(scenario(service, send_poison))
+
+        clean, _ = run(False)
+        poisoned, stats = run(True)
+        assert not clean.errors
+        assert [e.code for e in poisoned.errors] == [ERR_SAMPLES]
+        assert poisoned.errors[0].session_id == "a"
+        assert stats.samples_frames == 12  # the refused frame never counts
+        for sid in streams:
+            assert len(poisoned.decisions[sid]) == 24
+            assert [
+                (d.index, d.raw_label, d.label)
+                for d in poisoned.decisions[sid]
+            ] == [
+                (d.index, d.raw_label, d.label) for d in clean.decisions[sid]
+            ]
+
+    def test_failed_session_is_closed_in_the_service(self, model):
+        """A chunk the service rejects fails the session everywhere, so
+        the service holds no stale session and the id opens again."""
+        config = _config(max_batch=8, max_wait=2)
+        service = StreamingService(model, config)
+        stream = np.random.default_rng(6).random((40, N_CHANNELS))
+
+        async def scenario():
+            async with _Server(service, config) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                assert (await client.open("a"))[0]
+                await client.send("a", stream[:, :3])  # wrong channels
+                for _ in range(200):
+                    if client.errors:
+                        break
+                    await asyncio.sleep(0.01)
+                assert [e.code for e in client.errors] == [ERR_SESSION]
+                assert (await client.open("a", timeout=10.0))[0]
+                await client.send("a", stream)
+                await client.close("a")
+                await client.bye()
+                return client
+
+        client = asyncio.run(scenario())
+        assert len(client.decisions["a"]) == 8
+        assert service.sessions == ()
+
+    def test_dropped_connection_keeps_neighbour_decisions(self, model):
+        """Closing a dropped connection's sessions drains the service;
+        the drain's decisions for other connections' sessions are still
+        delivered, not discarded with the dropped connection."""
+        config = _config(max_batch=1024, max_wait=10_000)
+        stream = np.random.default_rng(8).random((40, N_CHANNELS))
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config),
+                config,
+                IngressConfig(sweep_interval_s=60.0),
+            ) as live:
+                keeper = IngressClient()
+                await keeper.connect(live.host, live.port)
+                assert (await keeper.open("b"))[0]
+                await keeper.send("b", stream)  # windows stay queued
+                for _ in range(200):
+                    if live.server.stats.samples_frames:
+                        break
+                    await asyncio.sleep(0.01)
+                dropper = IngressClient()
+                await dropper.connect(live.host, live.port)
+                assert (await dropper.open("a"))[0]
+                await dropper.aclose()  # no BYE: the server drops it
+                for _ in range(200):
+                    if live.server.stats.connections_closed:
+                        break
+                    await asyncio.sleep(0.01)
+                await keeper.close("b")
+                await keeper.bye()
+                return keeper
+
+        keeper = asyncio.run(scenario())
+        assert [d.index for d in keeper.decisions.get("b", [])] == list(
+            range(8)
+        )
+
+    def test_refused_open_resolves(self, model):
+        """An OPEN the service refuses answers the client's ``open``
+        instead of leaving it to time out."""
+        config = _config()
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config
+            ) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                with pytest.raises(RuntimeError):
+                    await client.open("x", model_id="nope", timeout=10.0)
+                assert (await client.open("y"))[0]
+                await client.bye()
+
+        asyncio.run(scenario())
 
 
 # -- protocol enforcement ----------------------------------------------------

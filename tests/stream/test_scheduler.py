@@ -1,7 +1,7 @@
 """Streaming service: batching policy, smoothing, end-to-end parity.
 
 The acceptance invariant of the subsystem: streaming predictions are
-byte-identical to the offline :class:`~repro.hdc.batch.BatchHDClassifier`
+byte-identical to the offline :class:`~repro.hdc.classifier.HDClassifier`
 on the same windows, no matter how many sessions are multiplexed or how
 the scheduler batches them.
 """
@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from repro.emg.windows import WindowConfig
-from repro.hdc import BatchHDClassifier, HDClassifierConfig
+from repro.hdc import BatchHDClassifier, HDClassifierConfig, save_model
 from repro.perf.streaming import DevicePerfModel
 from repro.pulp.soc import CORTEX_M4_SOC, PULPV3_SOC
 from repro.stream import (
     MajorityVoteSmoother,
+    ShardedStreamingService,
     StreamConfig,
     StreamingService,
     stream_bytes,
@@ -94,16 +95,31 @@ class TestSessionLifecycle:
             _service(unfitted)
 
 
+def _bad_chunk(stream, bad):
+    chunk = stream[300:400].copy()
+    if bad == "nan":
+        chunk[17, 2] = np.nan
+    elif bad == "inf":
+        chunk[5, 0] = -np.inf
+    elif bad == "wrong-channels":
+        chunk = chunk[:, :3]
+    else:
+        chunk = chunk[0]
+    return chunk
+
+
+BAD_CHUNKS = ["nan", "inf", "wrong-channels", "one-dimensional"]
+
+
 class TestHostileInput:
     """A rejected chunk changes nothing: not the service clock, not its
     own session, and never a neighbour's decisions."""
 
     @staticmethod
-    def _run(model, streams, poison=None):
+    def _run(service, streams, poison=None):
         """Feed 100-sample chunks round-robin; ``poison`` = (session,
         chunk index, bad chunk) is sent in place of that chunk and must
         be rejected.  Returns each session's decision bytes."""
-        service = _service(model, max_batch=32, max_wait=3)
         for s in range(len(streams)):
             service.open_session(s)
         decisions = {s: [] for s in range(len(streams))}
@@ -121,39 +137,54 @@ class TestHostileInput:
                     decisions[d.session_id].append(d)
         for d in service.drain():
             decisions[d.session_id].append(d)
-        assert {s.id for s in service.sessions} == set(decisions)
         return {s: stream_bytes(ds) for s, ds in decisions.items()}
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "nan",
-            "inf",
-            "wrong-channels",
-            "one-dimensional",
-        ],
-    )
-    def test_rejected_chunk_leaves_neighbour_bytes_intact(
-        self, model, rng, bad
-    ):
-        streams = [rng.random((600, 4)) for _ in range(2)]
-        chunk = streams[0][300:400].copy()
-        if bad == "nan":
-            chunk[17, 2] = np.nan
-        elif bad == "inf":
-            chunk[5, 0] = -np.inf
-        elif bad == "wrong-channels":
-            chunk = chunk[:, :3]
-        else:
-            chunk = chunk[0]
-        clean = self._run(model, streams)
-        poisoned = self._run(model, streams, poison=(0, 3, chunk))
+    @staticmethod
+    def _check(run, streams, chunk):
+        clean = run(streams)
+        poisoned = run(streams, poison=(0, 3, chunk))
         assert poisoned[1] == clean[1]
         # Session 0 stayed open and continued as if the rejected chunk
         # had never been sent.
         skipped = np.delete(streams[0], slice(300, 400), axis=0)
-        reference = self._run(model, [skipped, streams[1][:500]])
+        reference = run([skipped, streams[1][:500]])
         assert poisoned[0] == reference[0]
+
+    @pytest.mark.parametrize("bad", BAD_CHUNKS)
+    def test_rejected_chunk_leaves_neighbour_bytes_intact(
+        self, model, rng, bad
+    ):
+        def run(streams, poison=None):
+            service = _service(model, max_batch=32, max_wait=3)
+            out = self._run(service, streams, poison)
+            assert {s.id for s in service.sessions} == set(out)
+            return out
+
+        streams = [rng.random((600, 4)) for _ in range(2)]
+        self._check(run, streams, _bad_chunk(streams[0], bad))
+
+    @pytest.mark.parametrize("bad", BAD_CHUNKS)
+    def test_sharded_rejected_chunk_leaves_neighbour_bytes_intact(
+        self, model, rng, tmp_path, bad
+    ):
+        """The coordinator rejects the chunk before its clock, journal
+        or any shard moves, so no worker ever sees it."""
+        path = save_model(tmp_path / "model", model)
+        config = StreamConfig(
+            window=WindowConfig(window_samples=5, skip_onset_s=0.0),
+            sample_rate_hz=RATE,
+            max_batch=32,
+            max_wait=3,
+        )
+
+        def run(streams, poison=None):
+            with ShardedStreamingService(path, config, n_shards=2) as fleet:
+                out = self._run(fleet, streams, poison)
+                assert set(fleet.session_ids) == set(out)
+            return out
+
+        streams = [rng.random((600, 4)) for _ in range(2)]
+        self._check(run, streams, _bad_chunk(streams[0], bad))
 
 
 class TestBatchingPolicy:

@@ -28,6 +28,7 @@ from repro.stream import (
     replay,
     session_key_bytes,
     shard_for,
+    sharded,
     synthetic_trace,
 )
 
@@ -56,6 +57,18 @@ def store(model, tmp_path_factory):
     # The single-process reference serves the *stored* bits, exactly
     # like the shard workers do.
     return path, load_model(path)
+
+
+@pytest.fixture
+def unchecked_coordinator(monkeypatch):
+    """Let every chunk past the coordinator's admission check, so a bad
+    one reaches its worker and raises there: the worker-failure path
+    that the check otherwise keeps hostile input away from."""
+    monkeypatch.setattr(
+        sharded,
+        "check_chunk",
+        lambda samples, n_channels: np.asarray(samples, dtype=np.float64),
+    )
 
 
 def _config(**kwargs):
@@ -386,7 +399,9 @@ class TestCrashAndRespawn:
             ref[d.session_id].append(d)
         assert parity_digest(per_session) == parity_digest(ref)
 
-    def test_rejected_command_does_not_poison_the_journal(self, store):
+    def test_rejected_command_does_not_poison_the_journal(
+        self, store, unchecked_coordinator
+    ):
         """A command the worker errors on is tombstoned: a later
         respawn replays cleanly instead of re-raising the old error
         mid-repair and losing the journal suffix."""
@@ -422,7 +437,7 @@ class TestCrashAndRespawn:
         )
 
     def test_stale_error_does_not_journal_the_aborted_command(
-        self, store
+        self, store, unchecked_coordinator
     ):
         """A send aborted by a *stale* "err" reply (of an earlier bad
         command) must leave no journal trace: the chunk was never
@@ -604,7 +619,9 @@ class TestCoordinatorAPI:
                 tmp_path / "absent.npz", _config(), n_shards=1
             )
 
-    def test_worker_exception_surfaces_as_shard_error(self, store):
+    def test_worker_exception_surfaces_as_shard_error(
+        self, store, unchecked_coordinator
+    ):
         path, _ = store
         with ShardedStreamingService(
             path, _config(), n_shards=1, auto_respawn=False
