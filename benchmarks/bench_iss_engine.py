@@ -8,7 +8,9 @@ block-compiled / vectorizing engine is >= 10x on this workload.
 A second section drives a Fig. 4-shaped window sweep (Wolf, 8 cores,
 built-ins, 10,000-D, N = 4-gram) through the batched window driver and
 publishes windows/s next to the sequential per-window loop plus the
-fast-path / lockstep telemetry — the batched driver must hold >= 2x.
+fast-path / lockstep telemetry — the batched driver must hold >= 4x —
+and the lane curve: ms/window at 1, 32, 64 and 128 windows per call,
+each call one lockstep session as wide as the batch.
 """
 
 import time
@@ -96,6 +98,9 @@ def test_fast_path_engages_on_kernels(engine_timings):
 
 BATCH_WINDOWS = 16
 
+#: Windows per call for the published lane curve.
+LANE_SWEEP = (1, 32, 64, 128)
+
 
 @pytest.fixture(scope="module")
 def batched_sweep():
@@ -159,8 +164,25 @@ def batched_sweep():
             f"    {phase:<9s}: {seconds * 1e3 / BATCH_WINDOWS:7.2f} "
             f"({100.0 * seconds / phased if phased else 0.0:5.1f} %)"
         )
+    lines.append("  lane curve (one call per row):")
+    lane_curve = {}
+    for n_windows in LANE_SWEEP:
+        windows = rng.integers(
+            0, 22, size=(n_windows, dims.n_samples, dims.n_channels)
+        )
+        reset_lockstep_telemetry()
+        start = time.perf_counter()
+        sim.run_window_levels_batch(windows)
+        ms_per_window = (time.perf_counter() - start) * 1e3 / n_windows
+        runs = lockstep_telemetry()
+        lanes_per_run = runs["lanes"] // runs["runs"] if runs["runs"] else 1
+        lane_curve[n_windows] = (ms_per_window, lanes_per_run)
+        lines.append(
+            f"    {n_windows:4d} windows/call: {ms_per_window:7.2f} "
+            f"ms/window ({lanes_per_run} lanes per run)"
+        )
     publish("iss_batched_windows", "\n".join(lines))
-    return sequential, batched, seq_s, bat_s, lockstep, chain
+    return sequential, batched, seq_s, bat_s, lockstep, chain, lane_curve
 
 
 def test_batched_matches_sequential(batched_sweep):
@@ -176,7 +198,7 @@ def test_batched_matches_sequential(batched_sweep):
 def test_batched_lockstep_engages(batched_sweep):
     """The window-laned engine must actually serve the batch (a silent
     fallback to the sequential path would still be exact — and slow)."""
-    *_, lockstep, _ = batched_sweep
+    *_, lockstep, _, _ = batched_sweep
     assert lockstep["runs"] >= 1
     assert lockstep["lanes"] >= BATCH_WINDOWS
 
@@ -184,7 +206,7 @@ def test_batched_lockstep_engages(batched_sweep):
 def test_am_runs_laned_with_predicated_argmin(batched_sweep):
     """Total lockstep: the AM search executes window-laned with its
     divergent argmin predicated — zero per-window fallback runs."""
-    *_, lockstep, chain = batched_sweep
+    *_, lockstep, chain, _ = batched_sweep
     assert chain["laned_windows"] == BATCH_WINDOWS
     assert chain["fallback_windows"] == 0
     assert not chain["fallbacks"]
@@ -195,7 +217,7 @@ def test_am_runs_laned_with_predicated_argmin(batched_sweep):
 def test_phase_breakdown_covers_the_run(batched_sweep):
     """The published phase split accounts for the driver's wall-clock
     (a phase accounted as zero means the timer hooks came unwired)."""
-    _, _, _, bat_s, _, chain = batched_sweep
+    _, _, _, bat_s, _, chain, _ = batched_sweep
     phase_s = chain["phase_s"]
     assert all(phase_s[p] > 0 for p in ("staging", "encode", "am"))
     assert sum(phase_s.values()) <= bat_s
@@ -208,3 +230,12 @@ def test_batched_speedup_target(batched_sweep):
     absorbs noisy shared runners)."""
     _, _, seq_s, bat_s, *_ = batched_sweep
     assert seq_s / bat_s >= 4.0, (seq_s, bat_s)
+
+
+def test_lane_curve_runs_one_session_per_call(batched_sweep):
+    """Every multi-window call of the lane curve is a single lockstep
+    session as wide as the call, and the widest beats one window."""
+    *_, lane_curve = batched_sweep
+    for n_windows, (_, lanes_per_run) in lane_curve.items():
+        assert lanes_per_run == n_windows, lane_curve
+    assert lane_curve[128][0] < lane_curve[1][0], lane_curve

@@ -29,6 +29,7 @@ from ..hdc.classifier import HDClassifier
 from ..hdc.item_memory import quantize_samples
 from ..pulp.assembler import Assembler, Program
 from ..pulp.cluster import Cluster, ClusterRunResult
+from ..pulp.memory import L1_BASE, L2_BASE
 from ..pulp.soc import SoCConfig
 from . import codegen
 from .am_search import build_am_program
@@ -40,12 +41,16 @@ from ..pulp.analyze import StaticContract
 MAX_REGISTER_BUNDLE_ROWS = 7
 """Largest row count handled by the register window bundle."""
 
-MAX_DESC_ARENA_WINDOWS = 32
+MAX_DESC_ARENA_WINDOWS = 128
 """Upper bound on descriptor-arena slots a simulator reserves in L2.
 
 The arena only grows into L2 slack left over after the model, so small
 memories (or many-channel shapes) automatically get fewer slots, down to
-the single table the sequential path needs."""
+the single table the sequential path needs.  One chunk of the arena is
+one lockstep run, and each of its lanes stages only the layout's
+footprint (L1 up to ``l1_end``, L2 up to ``l2_end``), not the whole
+memory, so a lane costs tens of KB rather than the machine's full
+L1 + L2."""
 
 
 _CHAIN_TELEMETRY = {
@@ -390,8 +395,6 @@ class HDChainSimulator:
         self.strategy = strategy
         soc = config.soc
         mem_cfg = soc.memory_config()
-        from ..pulp.memory import L1_BASE, L2_BASE
-
         layout_args = dict(
             dims=config.dims,
             n_cores=config.n_cores,
@@ -702,7 +705,14 @@ class HDChainSimulator:
         phases = _CHAIN_TELEMETRY["phase_s"]
         try:
             tick = perf_counter()
-            session = LockstepSession(self.cluster, lane_writes)
+            # Lanes stage only what the chain can touch; nothing past
+            # the layout is written on either path, so the partial
+            # restore below still leaves the sequential end state.
+            session = LockstepSession(
+                self.cluster,
+                lane_writes,
+                (layout.l1_end - L1_BASE, layout.l2_end - L2_BASE),
+            )
             tock = perf_counter()
             phases["staging"] += tock - tick
             encode_runs = session.run(self.encode_program)

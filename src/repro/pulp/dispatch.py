@@ -432,7 +432,12 @@ def _uniform_int(value) -> Optional[int]:
 
 
 class LaneImage:
-    """One lane's materialized (L1, L2) memory snapshot."""
+    """One lane's materialized (L1, L2) memory snapshot.
+
+    Each image is a prefix of its region: restoring it writes exactly
+    those bytes from ``L1_BASE`` / ``L2_BASE`` and leaves the rest of
+    the scalar memory as it was.
+    """
 
     __slots__ = ("l1", "l2")
 
@@ -457,23 +462,45 @@ class LanedMemory:
 
     ``LanedMemory(memory, n)`` stages ``n`` private copies of
     ``memory``'s image with a private accumulator (the lockstep
-    engine).  ``LanedMemory(memory)`` is a zero-copy one-lane view of
-    ``memory`` itself: its rows are ``np.frombuffer`` over ``memory``'s
-    bytearrays and its stalls advance ``memory``'s accumulator, so a
-    :class:`~repro.pulp.fastpath.FastCore`'s vector passes and its
-    scalar accesses continue one conflict sequence.
+    engine).  ``footprint=(l1_bytes, l2_bytes)`` stages only that
+    prefix of each region — the bytes a program can touch — instead of
+    the whole memory: rows are that wide, and any access past the
+    prefix raises ``LockstepBail(LS_ADDRESS_RANGE)`` exactly like an
+    address outside the memory, so the caller falls back to scalar
+    runs.  ``LanedMemory(memory)`` is a zero-copy, full-size one-lane
+    view of ``memory`` itself: its rows are ``np.frombuffer``
+    over ``memory``'s bytearrays and its stalls advance ``memory``'s
+    accumulator, so a :class:`~repro.pulp.fastpath.FastCore`'s vector
+    passes and its scalar accesses continue one conflict sequence.
     """
 
-    def __init__(self, memory: MemorySystem, n_lanes: Optional[int] = None):
+    def __init__(
+        self,
+        memory: MemorySystem,
+        n_lanes: Optional[int] = None,
+        footprint: Optional[Tuple[int, int]] = None,
+    ):
         config = memory.config
         self.config = config
-        l1 = np.frombuffer(memory._l1, dtype=np.uint8)[None, :]
-        l2 = np.frombuffer(memory._l2, dtype=np.uint8)[None, :]
+        l1_bytes, l2_bytes = config.l1_bytes, config.l2_bytes
         #: True for the zero-copy one-lane view of a scalar core's memory
         self.is_view = n_lanes is None
+        if footprint is not None:
+            l1_bytes, l2_bytes = footprint
+            if not (
+                0 <= l1_bytes <= config.l1_bytes
+                and 0 <= l2_bytes <= config.l2_bytes
+            ) or (l1_bytes | l2_bytes) & 3:
+                raise ValueError(
+                    f"footprint {footprint} must be word multiples within "
+                    f"({config.l1_bytes}, {config.l2_bytes})"
+                )
+        l1 = np.frombuffer(memory._l1, dtype=np.uint8, count=l1_bytes)
+        l2 = np.frombuffer(memory._l2, dtype=np.uint8, count=l2_bytes)
         if self.is_view:
             self.n_lanes = 1
             self._stalls = memory
+            l1, l2 = l1[None, :], l2[None, :]
         else:
             self.n_lanes = n_lanes
             l1 = np.tile(l1, (n_lanes, 1))
@@ -481,16 +508,16 @@ class LanedMemory:
             self._stalls = MemorySystem(config)
         self._l1 = l1
         self._l2 = l2
-        self._l1_end = L1_BASE + config.l1_bytes
-        self._l2_end = L2_BASE + config.l2_bytes
+        self._l1_end = L1_BASE + l1_bytes
+        self._l2_end = L2_BASE + l2_bytes
         self._views: Dict[Tuple[bool, int], np.ndarray] = {}
         # Lane-divergence page map (256-B pages): lanes start
         # byte-identical (tiled), and only per-lane writes can make them
         # differ.  Loads from never-diverged pages read lane 0's bytes
         # directly — no all-lane gather, no uniformity compare.
         self._dirty = {
-            True: np.zeros((config.l1_bytes >> 8) + 1, dtype=bool),
-            False: np.zeros((config.l2_bytes >> 8) + 1, dtype=bool),
+            True: np.zeros((l1_bytes >> 8) + 1, dtype=bool),
+            False: np.zeros((l2_bytes >> 8) + 1, dtype=bool),
         }
 
     def mark_divergent(self, is_l1: bool, lo_off: int, hi_off: int) -> None:
@@ -659,12 +686,14 @@ class LanedMemory:
             hi = int(src.max()) + size - 1
             src_l1, src_base = self.locate(lo, hi)
             src_buf = self._l1 if src_l1 else self._l2
-            offsets = src.astype(np.int64) - src_base
-            for lane in range(self.n_lanes):
-                start = int(offsets[lane])
-                dst_buf[lane, doff : doff + size] = src_buf[
-                    lane, start : start + size
-                ]
+            # One gather over every lane's (lane, offset) window; the
+            # fancy index copies, so an overlapping src/dst is safe.
+            windows = np.lib.stride_tricks.sliding_window_view(
+                src_buf, size, axis=1
+            )
+            dst_buf[:, doff : doff + size] = windows[
+                np.arange(self.n_lanes), src.astype(np.int64) - src_base
+            ]
             self.mark_divergent(dst_l1, doff, doff + size - 1)
         else:
             src = int(src)

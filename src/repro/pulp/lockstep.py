@@ -490,7 +490,10 @@ class LockstepSession:
 
     ``lane_writes`` supplies each lane's pre-run staging (address,
     bytes).  The images start from the cluster's *current* memory; the
-    cluster itself is never mutated.  :meth:`run` returns **per-lane**
+    cluster itself is never mutated.  ``footprint`` — ``(l1_bytes,
+    l2_bytes)`` — stages only that prefix of each region per lane (see
+    :class:`~repro.pulp.dispatch.LanedMemory`); a program reaching past
+    it bails with ``address-range``.  :meth:`run` returns **per-lane**
     :class:`ClusterRunResult`\\ s (cycles and instruction counts may
     diverge between lanes once a predicated branch runs), or raises
     :class:`LockstepBail` — the caller then falls back to per-window
@@ -501,10 +504,11 @@ class LockstepSession:
         self,
         cluster,
         lane_writes: Sequence[Sequence[Tuple[int, bytes]]],
+        footprint: Optional[Tuple[int, int]] = None,
     ):
         self.cluster = cluster
         self.n_lanes = len(lane_writes)
-        self.lmem = LanedMemory(cluster.memory, self.n_lanes)
+        self.lmem = LanedMemory(cluster.memory, self.n_lanes, footprint)
         for lane, writes in enumerate(lane_writes):
             for addr, data in writes:
                 self.lmem.write_lane_bytes(lane, addr, data)

@@ -20,6 +20,11 @@ import numpy as np
 import pytest
 
 from repro.kernels import ChainConfig, ChainDims, HDChainSimulator
+from repro.kernels.chain import (
+    MAX_DESC_ARENA_WINDOWS,
+    chain_batch_telemetry,
+    reset_chain_batch_telemetry,
+)
 from repro.kernels.layout import make_layout
 from repro.pulp import fastpath
 from repro.pulp.lockstep import (
@@ -162,13 +167,15 @@ def test_batched_lockstep_engages_on_wolf():
 
 
 def test_batched_chunks_over_arena_capacity():
-    """Batches larger than the descriptor arena chunk transparently."""
+    """Batches larger than the descriptor arena chunk transparently:
+    the arena grows to its full cap, and a batch three windows over it
+    runs as one full-capacity lockstep session plus a 3-lane one."""
     dims = ChainDims(
         dim=992, n_channels=4, n_levels=10, n_classes=4, ngram=1, window=5
     )
     sim = _make_sim(WOLF_SOC, 2, dims, False, "auto", "fast")
     capacity = sim.layout.desc_capacity
-    assert capacity > 1  # the arena actually grew into L2 slack
+    assert capacity == MAX_DESC_ARENA_WINDOWS  # L2 slack allows the cap
     rng = np.random.default_rng(13)
     n_windows = capacity + 3
     batch = rng.integers(
@@ -176,7 +183,78 @@ def test_batched_chunks_over_arena_capacity():
     )
     seq_sim = _make_sim(WOLF_SOC, 2, dims, False, "auto", "fast")
     sequential = [seq_sim.run_window_levels(levels) for levels in batch]
+    reset_lockstep_telemetry()
+    reset_chain_batch_telemetry()
     _assert_results_equal(sequential, sim.run_window_levels_batch(batch))
+    assert _snapshot(sim) == _snapshot(seq_sim)
+    chain = chain_batch_telemetry()
+    assert chain["laned_chunks"] == 2
+    assert chain["laned_windows"] == n_windows
+    telemetry = lockstep_telemetry()
+    assert telemetry["runs"] == 4  # encode + AM per chunk
+    assert telemetry["lanes"] == 2 * n_windows
+    assert not telemetry["bails"]
+
+
+def test_batched_leaves_memory_past_footprint_alone():
+    """Lane images stage only the layout's footprint: sentinel words
+    just past ``l1_end`` and ``l2_end`` end the batch exactly as the
+    sequential run leaves them."""
+    dims = ChainDims(
+        dim=992, n_channels=4, n_levels=10, n_classes=4, ngram=1, window=5
+    )
+    rng = np.random.default_rng(17)
+    batch = rng.integers(
+        0, dims.n_levels, size=(6, dims.n_samples, dims.n_channels)
+    )
+    sentinels = np.array([0xA5A5F00D, 0x0BADCAFE], dtype=np.uint32)
+    states = []
+    for driver in ("sequential", "batched"):
+        sim = _make_sim(WOLF_SOC, 4, dims, True, "auto", "fast")
+        layout = sim.layout
+        sim.cluster.write_words(layout.l1_end, sentinels)
+        sim.cluster.write_words(layout.l2_end, sentinels)
+        reset_chain_batch_telemetry()
+        if driver == "sequential":
+            for levels in batch:
+                sim.run_window_levels(levels)
+        else:
+            sim.run_window_levels_batch(batch)
+            assert chain_batch_telemetry()["laned_windows"] == len(batch)
+        states.append((
+            sim.cluster.read_words(layout.l1_end, 2).tobytes(),
+            sim.cluster.read_words(layout.l2_end, 2).tobytes(),
+            _snapshot(sim),
+        ))
+    assert states[0] == states[1]
+    assert states[1][0] == states[1][1] == sentinels.tobytes()
+
+
+def test_paper_dims_batch_runs_as_one_session():
+    """A 128-window batch at the paper's shape (Wolf, 8 cores, D=10,000,
+    N=4, W=5) is one lockstep session: 128 lanes per run, no bails and
+    no fallback windows."""
+    dims = ChainDims(
+        dim=10_000, n_channels=4, n_levels=22, n_classes=5, ngram=4,
+        window=5,
+    )
+    sim = _make_sim(WOLF_SOC, 8, dims, True, "auto", "fast")
+    assert sim.layout.desc_capacity >= 128
+    rng = np.random.default_rng(19)
+    batch = rng.integers(
+        0, dims.n_levels, size=(128, dims.n_samples, dims.n_channels)
+    )
+    reset_lockstep_telemetry()
+    reset_chain_batch_telemetry()
+    results = sim.run_window_levels_batch(batch)
+    assert len(results) == 128
+    telemetry = lockstep_telemetry()
+    assert telemetry["runs"] == 2
+    assert telemetry["lanes"] / telemetry["runs"] == 128
+    assert not telemetry["bails"]
+    chain = chain_batch_telemetry()
+    assert chain["fallback_windows"] == 0
+    assert chain["laned_windows"] == 128
 
 
 def test_desc_tables_match_python_loop():

@@ -19,6 +19,7 @@ import pytest
 
 from repro.pulp import Assembler, Cluster, L1_BASE, L2_BASE, WOLF
 from repro.pulp.assembler import CORE_ID_REG
+from repro.pulp.dispatch import LS_ADDRESS_RANGE, LanedMemory
 from repro.pulp.lockstep import (
     LockstepBail,
     LockstepSession,
@@ -34,7 +35,7 @@ SCRATCH = L1_BASE + 128
 
 
 def _run_expecting(reason, emit, lane_values=(0, 8), n_cores=1,
-                   max_instructions=None):
+                   max_instructions=None, footprint=None):
     """Assemble ``emit``, run it laned, and demand exactly one bail."""
     cluster = Cluster(WOLF, n_cores, engine="fast")
     if max_instructions is not None:
@@ -46,7 +47,7 @@ def _run_expecting(reason, emit, lane_values=(0, 8), n_cores=1,
     lane_writes = [
         [(DIV, int(value).to_bytes(4, "little"))] for value in lane_values
     ]
-    session = LockstepSession(cluster, lane_writes)
+    session = LockstepSession(cluster, lane_writes, footprint)
     reset_lockstep_telemetry()
     with pytest.raises(LockstepBail) as excinfo:
         session.run(program)
@@ -213,6 +214,127 @@ class TestDMABails:
             asm.halt()
 
         _run_expecting("divergent-dma", emit, lane_values=(4, 8))
+
+
+#: A footprint staging 512 B of L1 and 1 KiB of L2 per lane.
+FOOTPRINT = (512, 1024)
+L1_PAST = L1_BASE + FOOTPRINT[0]
+L2_PAST = L2_BASE + FOOTPRINT[1]
+
+
+def _footprint_lmem(n_lanes=3):
+    return LanedMemory(Cluster(WOLF, 1).memory, n_lanes, FOOTPRINT)
+
+
+def _expect_range_bail(call, *args):
+    with pytest.raises(LockstepBail) as excinfo:
+        call(*args)
+    assert excinfo.value.reason == LS_ADDRESS_RANGE
+
+
+class TestFootprint:
+    """Lane images sized to a footprint: only that prefix is staged,
+    and every access past it bails like an address outside memory."""
+
+    def test_rows_have_footprint_size(self):
+        lmem = _footprint_lmem()
+        for lane in range(3):
+            image = lmem.lane_image(lane)
+            assert (len(image.l1), len(image.l2)) == FOOTPRINT
+
+    def test_view_and_full_images_span_memory(self):
+        memory = Cluster(WOLF, 1).memory
+        config = memory.config
+        for lmem in (LanedMemory(memory), LanedMemory(memory, 2)):
+            image = lmem.lane_image(0)
+            assert len(image.l1) == config.l1_bytes
+            assert len(image.l2) == config.l2_bytes
+
+    def test_invalid_footprints_rejected(self):
+        memory = Cluster(WOLF, 1).memory
+        with pytest.raises(ValueError):
+            LanedMemory(memory, 2, (memory.config.l1_bytes + 4, 0))
+        with pytest.raises(ValueError):
+            LanedMemory(memory, 2, (6, 0))  # not a word multiple
+
+    def test_last_bytes_inside_are_accessible(self):
+        lmem = _footprint_lmem()
+        lmem.store_scalar(L1_PAST - 4, 0xDEADBEEF, 4)
+        assert lmem.load_scalar(L1_PAST - 4, 4) == (0xDEADBEEF, True)
+        lmem.store_scalar(L2_PAST - 1, 0x5A, 1)
+        assert lmem.load_scalar(L2_PAST - 1, 1) == (0x5A, False)
+        lmem.dma_copy(L2_PAST - 16, L1_PAST - 16, 16)
+        lmem.dma_copy(np.array([L2_BASE, L2_PAST - 16, L2_BASE + 4]),
+                      L1_PAST - 16, 16)
+
+    @pytest.mark.parametrize("past", [L1_PAST, L2_PAST], ids=["l1", "l2"])
+    def test_load_one_byte_past_bails(self, past):
+        lmem = _footprint_lmem()
+        _expect_range_bail(lmem.load_scalar, past, 1)
+        _expect_range_bail(lmem.load_lanes, np.array([past - 1, past]), 1)
+
+    @pytest.mark.parametrize("past", [L1_PAST, L2_PAST], ids=["l1", "l2"])
+    def test_store_one_byte_past_bails(self, past):
+        lmem = _footprint_lmem()
+        _expect_range_bail(lmem.store_scalar, past, 1, 1)
+        _expect_range_bail(lmem.write_lane_bytes, 0, past - 3, b"abcd")
+
+    def test_dma_one_byte_past_bails(self):
+        lmem = _footprint_lmem()
+        # Destination, uniform source, and one lane's divergent source
+        # each reaching a single byte past the footprint.
+        _expect_range_bail(lmem.dma_copy, L2_BASE, L1_PAST - 16, 17)
+        _expect_range_bail(lmem.dma_copy, L2_PAST - 16, L1_BASE, 17)
+        _expect_range_bail(
+            lmem.dma_copy,
+            np.array([L2_BASE, L2_PAST - 15, L2_BASE]), L1_BASE, 16,
+        )
+
+    def test_program_past_footprint_bails(self):
+        def emit(asm):
+            p, t = asm.reg("p"), asm.reg("t")
+            asm.li(p, L1_PAST)
+            asm.lw(t, p, 0)
+            asm.halt()
+
+        _run_expecting("address-range", emit, footprint=FOOTPRINT)
+
+
+class TestLanedDMA:
+    """The lane-divergent DMA is one gather: bit-exact with a per-lane
+    byte copy, including a source overlapping its destination."""
+
+    @pytest.mark.parametrize(
+        "src_base,dst",
+        [(L2_BASE + 64, L1_BASE + 256), (L1_BASE + 40, L1_BASE + 64)],
+        ids=["l2-to-l1", "overlapping-l1"],
+    )
+    def test_divergent_source_matches_per_lane_copy(self, src_base, dst):
+        n_lanes, size = 5, 96
+        lmem = _footprint_lmem(n_lanes)
+        rng = np.random.default_rng(3)
+        for lane in range(n_lanes):
+            lmem.write_lane_bytes(
+                lane, L1_BASE, rng.bytes(FOOTPRINT[0])
+            )
+            lmem.write_lane_bytes(
+                lane, L2_BASE, rng.bytes(FOOTPRINT[1])
+            )
+        src = src_base + 4 * rng.permutation(n_lanes).astype(np.int64)
+        before = [lmem.lane_image(lane) for lane in range(n_lanes)]
+        lmem.dma_copy(src, dst, size)
+        for lane in range(n_lanes):
+            image = before[lane]
+            expected = bytearray(image.l1)
+            source = image.l1 if src_base < L2_BASE else image.l2
+            base = L1_BASE if src_base < L2_BASE else L2_BASE
+            start = int(src[lane]) - base
+            expected[dst - L1_BASE : dst - L1_BASE + size] = source[
+                start : start + size
+            ]
+            after = lmem.lane_image(lane)
+            assert after.l1 == bytes(expected), lane
+            assert after.l2 == image.l2, lane
 
 
 class TestDefensiveGuards:
