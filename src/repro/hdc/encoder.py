@@ -27,7 +27,7 @@ kernels, so both produce bit-identical hypervectors by construction.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,19 +35,25 @@ from . import engine
 from .engine import HypervectorArray
 from .hypervector import BinaryHypervector
 from .item_memory import ContinuousItemMemory, ItemMemory, quantize_samples
+from .memo import lru_fill
 
-_DEDUP_MIN_ROWS = 16
-"""Smallest batch worth the duplicate-row scan.
+_DEDUP_MIN_ROWS = 128
+"""Smallest row batch worth the duplicate-row scan.
 
-Quantised biosignal streams are massively redundant — a smooth envelope
-held at a plateau repeats the same integer level tuple for many
-consecutive samples (on the synthetic EMG task ~3 % of sample rows and
-~30 % of whole windows are unique).  The batched encoders therefore
-memoize within each batch: encode the *unique* level rows once and
-scatter the packed results back.  Kernels are row-independent, so the
-output is bit-identical to encoding every row; batches whose unique
-fraction exceeds one half skip the detour entirely.
+Plateaus in a quantised envelope repeat level rows, so
+:meth:`SpatialEncoder._encode_rows` can encode each unique row once and
+scatter the results back, but the ``np.unique`` scan costs more than it
+saves on small batches.  On real EMG windows (``results/
+hdc_encode_batch.txt``) it loses at 5-25 rows (0.6-0.7x), wins from 625
+rows on (1.4-4.4x), and at 125 rows wins on windows in trial order
+(1.4-1.6x) but loses (0.85x) on windows interleaved across sessions,
+the mix of a stream batch.  Stream batches (5 windows, 25 rows) stay
+below the threshold; library ``fit`` / ``predict`` calls of thousands
+of rows are far above it.
 """
+
+ROW_CACHE_LIMIT = 1 << 16
+"""Rows the spatial-row memo holds (one key plus one packed row each)."""
 
 
 class SpatialEncoder:
@@ -82,7 +88,7 @@ class SpatialEncoder:
         self.row_cache_misses = 0
         self.row_cache_evictions = 0
 
-    def enable_row_cache(self, limit: int = 1 << 16) -> None:
+    def enable_row_cache(self, limit: int = ROW_CACHE_LIMIT) -> None:
         """Memoize packed spatial rows across encode calls.
 
         The whole-window keys of a streaming decision cache cannot see
@@ -97,11 +103,6 @@ class SpatialEncoder:
             raise ValueError(f"row cache limit must be >= 1, got {limit}")
         self._row_cache = OrderedDict()
         self._row_cache_limit = limit
-
-    def disable_row_cache(self) -> None:
-        """Drop the spatial-row cache and stop memoizing."""
-        self._row_cache = None
-        self._row_cache_limit = 0
 
     @property
     def row_cache_size(self) -> int:
@@ -146,78 +147,61 @@ class SpatialEncoder:
 
     # -- batched kernels ---------------------------------------------------
 
+    def _encode_rows(self, flat: np.ndarray) -> np.ndarray:
+        """The row kernel: ``(n, n_channels)`` levels → packed
+        ``(n, n_words)`` spatial rows (bind + channel majority).
+
+        From ``_DEDUP_MIN_ROWS`` rows on, duplicate rows are encoded
+        once and scattered back when at most half are unique; the
+        reconstruction is bit-exact because the kernel is
+        row-independent.
+        """
+        n = flat.shape[0]
+        inverse = None
+        if n >= _DEDUP_MIN_ROWS:
+            unique, found = np.unique(flat, axis=0, return_inverse=True)
+            if 2 * unique.shape[0] <= n:
+                flat, inverse = unique, found.reshape(-1)
+        bound = self._cim_words[flat] ^ self._im_words
+        spatial = engine.majority_default_tie(bound, self.dim)
+        return spatial if inverse is None else spatial[inverse]
+
     def _levels_to_words(self, levels: np.ndarray) -> np.ndarray:
         """Spatial-encode pre-quantised levels ``(..., n_channels)`` into
-        packed ``(..., n_words)`` rows (bind + channel majority).
-
-        Duplicate level rows within a batch are encoded once (see
-        ``_DEDUP_MIN_ROWS``); the scatter reconstruction is bit-exact
-        because every kernel in the chain is row-independent.
-        """
+        packed ``(..., n_words)`` rows, through the row memo when one
+        is enabled."""
         levels = np.asarray(levels)
-        if self._row_cache is not None:
-            return self._levels_to_words_cached(levels)
         flat = levels.reshape(-1, levels.shape[-1])
-        n = flat.shape[0]
-        if n >= _DEDUP_MIN_ROWS:
-            unique, inverse = np.unique(flat, axis=0, return_inverse=True)
-            if 2 * unique.shape[0] <= n:
-                bound = self._cim_words[unique] ^ self._im_words
-                spatial = engine.majority_default_tie(bound, self.dim)
-                return np.ascontiguousarray(
-                    spatial[inverse.reshape(-1)]
-                ).reshape(levels.shape[:-1] + (spatial.shape[-1],))
-        bound = self._cim_words[levels] ^ self._im_words
-        return engine.majority_default_tie(bound, self.dim)
+        if self._row_cache is None:
+            words = self._encode_rows(flat)
+        else:
+            words = self._memo_rows(flat)
+        return words.reshape(levels.shape[:-1] + (words.shape[-1],))
 
-    def _levels_to_words_cached(self, levels: np.ndarray) -> np.ndarray:
-        """Row-cache variant of :meth:`_levels_to_words`.
+    def _memo_rows(self, flat: np.ndarray) -> np.ndarray:
+        """:meth:`_encode_rows` through the row memo.
 
-        Hits come back from the LRU verbatim; the misses run through
-        the exact same unique-rows kernel as the uncached path, so the
-        assembled output is bit-identical to it.
+        Hits come back from the LRU verbatim and each distinct missing
+        row runs through :meth:`_encode_rows` once, so the assembled
+        rows are bit-identical to the plain path's.
         """
-        cache = self._row_cache
-        flat = np.ascontiguousarray(
-            levels.reshape(-1, levels.shape[-1]).astype(np.int64, copy=False)
+        flat = np.ascontiguousarray(flat.astype(np.int64, copy=False))
+        keys = [row.tobytes() for row in flat]
+
+        def encode_missing(missing):
+            # Own each row's memory so the cache never pins a whole
+            # batch result alive through one of its views.
+            return [row.copy() for row in self._encode_rows(flat[missing])]
+
+        rows, misses, evictions = lru_fill(
+            self._row_cache, keys, self._row_cache_limit, encode_missing
         )
-        n = flat.shape[0]
-        rows: List[Optional[np.ndarray]] = [None] * n
-        keys: List[bytes] = []
-        missing: List[int] = []
-        for i in range(n):
-            key = flat[i].tobytes()
-            keys.append(key)
-            row = cache.get(key)
-            if row is None:
-                missing.append(i)
-            else:
-                cache.move_to_end(key)  # refresh LRU recency
-                rows[i] = row
-        self.row_cache_hits += n - len(missing)
-        self.row_cache_misses += len(missing)
-        if missing:
-            unique, inverse = np.unique(
-                flat[missing], axis=0, return_inverse=True
-            )
-            bound = self._cim_words[unique] ^ self._im_words
-            spatial = engine.majority_default_tie(bound, self.dim)
-            inverse = inverse.reshape(-1)
-            limit = self._row_cache_limit
-            for j, i in enumerate(missing):
-                row = spatial[inverse[j]]
-                rows[i] = row
-                key = keys[i]
-                if key not in cache:
-                    while len(cache) >= limit:
-                        cache.popitem(last=False)  # evict coldest
-                        self.row_cache_evictions += 1
-                # Own the row's memory so the cache never pins a whole
-                # batch result alive through one of its views.
-                cache[key] = row.copy()
-        return np.stack(rows).reshape(
-            levels.shape[:-1] + (self._im_words.shape[-1],)
-        )
+        self.row_cache_hits += len(keys) - misses
+        self.row_cache_misses += misses
+        self.row_cache_evictions += evictions
+        if not rows:
+            return np.empty((0, self._im_words.shape[-1]), np.uint64)
+        return np.stack(rows)
 
     def quantize_batch(self, samples: np.ndarray) -> np.ndarray:
         """Quantise raw samples ``(..., n_channels)`` to integer levels."""
@@ -406,30 +390,16 @@ class WindowEncoder:
         return self._spatial.dim
 
     def _windows_to_words(self, windows: np.ndarray) -> np.ndarray:
-        """Encode ``(n, T, channels)`` windows → packed ``(n, n_words)``.
-
-        Windows whose quantised level patterns coincide encode once (the
-        streaming workload repeats plateau windows constantly); the
-        per-sample spatial stage deduplicates again at row granularity.
-        Both reconstructions are bit-exact — the whole chain is
-        row-independent.
-        """
-        n_win, t_len, _ = windows.shape
+        """Encode ``(n, T, channels)`` windows → packed ``(n, n_words)``."""
         n = self._temporal.ngram_size
-        if t_len < n:
+        if windows.shape[1] < n:
             raise ValueError(
-                f"windows of {t_len} timestamps cannot form {n}-grams"
+                f"windows of {windows.shape[1]} timestamps cannot form "
+                f"{n}-grams"
             )
-        levels = self._spatial.quantize_batch(windows)
-        if n_win >= _DEDUP_MIN_ROWS:
-            flat = levels.reshape(n_win, -1)
-            unique, inverse = np.unique(flat, axis=0, return_inverse=True)
-            if 2 * unique.shape[0] <= n_win:
-                queries = self._levels_to_query_words(
-                    unique.reshape(-1, t_len, levels.shape[-1])
-                )
-                return np.ascontiguousarray(queries[inverse.reshape(-1)])
-        return self._levels_to_query_words(levels)
+        return self._levels_to_query_words(
+            self._spatial.quantize_batch(windows)
+        )
 
     def _levels_to_query_words(self, levels: np.ndarray) -> np.ndarray:
         """Quantised ``(n, T, channels)`` levels → packed query rows."""

@@ -24,15 +24,18 @@ Every dispatch produces a :class:`BatchReport` with host wall-clock and,
 when a :class:`~repro.perf.streaming.DevicePerfModel` is attached, the
 simulated on-device latency/energy of the batch's classifications.
 
-Two memoization layers keep sustained serving cheap, both bit-exact:
-the batched encoder deduplicates repeated quantised rows *within* a
-pass (:mod:`repro.hdc.encoder`), and the scheduler's decision cache
-memoizes winners by quantised window pattern *across* batches — the
-whole chain is a pure function of those integer levels, so a repeat is
-a dict hit instead of a re-encode.  The cache evicts least-recently-used
-entries one at a time when full (hot plateau patterns survive bursts of
-cold ones), and since it only ever short-circuits a pure function, any
-eviction policy is bit-exact by construction.
+Two bounded LRU memos keep sustained serving cheap, both bit-exact
+and both run by the one loop in :func:`repro.hdc.memo.lru_fill`.  The
+scheduler's decision cache memoizes winners by quantised window pattern
+across batches: the whole chain is a pure function of those integer
+levels, so a repeat is a dict hit instead of a re-encode.  Beneath it,
+every served model's :class:`~repro.hdc.encoder.SpatialEncoder` carries
+a spatial-row memo (``ROW_CACHE_LIMIT`` rows), which sees the
+``W - stride`` sample rows that overlapping windows share and a
+whole-window key cannot.  Both evict the least-recently-used entry one
+at a time when full, so hot plateau patterns survive bursts of cold
+ones; since they only short-circuit pure functions, any eviction policy
+is bit-exact by construction.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import numpy as np
 
 from ..emg.windows import WindowConfig
 from ..hdc import BatchHDClassifier, engine
+from ..hdc.memo import lru_fill
 from ..hdc.online import AdaptConfig, SessionDelta
 from ..hdc.serialize import CutoverError
 from ..perf.streaming import (
@@ -91,27 +95,12 @@ class StreamConfig:
     max_wait: int = 0
     smooth: int = 1
     extract_features: bool = False
-    #: Memoize decisions by quantised window pattern across batches.
-    #: The encode + AM-search chain is a pure function of the integer
-    #: level pattern, so a repeated pattern's winner can be served from
-    #: a dict hit instead of a re-encode — bit-exactly.  Plateau-heavy
-    #: biosignal streams repeat patterns constantly, which is what makes
-    #: sustained serving cheap.  Bounded by ``decision_cache_limit``
-    #: entries (a key plus one small int each); least-recently-used
-    #: entries are evicted one at a time when full, so a hot pattern
-    #: never goes cold just because the service saw many one-off
-    #: patterns since it was last refreshed.
+    #: Memoize decisions by quantised window pattern across batches
+    #: (see the module docstring): plateau-heavy biosignal streams
+    #: repeat patterns constantly.  Bounded LRU of
+    #: ``decision_cache_limit`` entries (a key plus one small int each).
     decision_cache: bool = True
     decision_cache_limit: int = 1 << 20
-    #: Memoize packed *spatial rows* (one per quantised timestamp)
-    #: across batches, beneath the decision cache.  Whole-window keys
-    #: cannot see that windows shifted by ``stride < W`` share
-    #: ``W - stride`` sample rows; the row cache dedups exactly those,
-    #: so overlapping strides re-encode only the new timestamps — bit-
-    #: exactly, since the spatial kernel is row-independent.  Bounded
-    #: LRU like the decision cache (a key plus one packed row each).
-    spatial_row_cache: bool = True
-    spatial_row_cache_limit: int = 1 << 16
     #: Retained per-session decisions and service batch reports (each a
     #: bounded deque) — a convenience window into recent activity, not
     #: an unbounded log: a sustained service would otherwise leak one
@@ -141,11 +130,6 @@ class StreamConfig:
             raise ValueError(
                 f"decision_cache_limit must be >= 1, "
                 f"got {self.decision_cache_limit}"
-            )
-        if self.spatial_row_cache_limit < 1:
-            raise ValueError(
-                f"spatial_row_cache_limit must be >= 1, "
-                f"got {self.spatial_row_cache_limit}"
             )
         if self.history < 1:
             raise ValueError(
@@ -272,10 +256,7 @@ class StreamingService:
                 f"; set WindowConfig.extra_samples >= "
                 f"{model.config.ngram_size - config.window.window_samples}"
             )
-        if config.spatial_row_cache:
-            model.encoder.spatial.enable_row_cache(
-                config.spatial_row_cache_limit
-            )
+        model.encoder.spatial.enable_row_cache()
         entry = _ModelEntry(
             model_id=model_id,
             model=model,
@@ -369,10 +350,7 @@ class StreamingService:
                     f"differently; {which} keeps serving "
                     f"the old version"
                 )
-        if self._config.spatial_row_cache:
-            new_model.encoder.spatial.enable_row_cache(
-                self._config.spatial_row_cache_limit
-            )
+        new_model.encoder.spatial.enable_row_cache()
         entry.model = new_model
         entry.proto_words = proto_words
         entry.labels = new_model.labels
@@ -881,15 +859,16 @@ class StreamingService:
         stacked: np.ndarray,
         entry: _ModelEntry,
         session: Optional[Session] = None,
-    ) -> np.ndarray:
+    ) -> List[int]:
         """Winner indices of a window stack, through the decision cache.
 
         Cache keys are the quantised level patterns prefixed with the
         identity of the prototypes in play (see :meth:`_cache_prefix`);
         the encode + AM search chain is a pure, deterministic function
         of those, so a hit returns exactly the winner the chain would
-        compute.  Misses run as one batched engine pass (which itself
-        deduplicates repeated rows) and populate the cache.  ``session``
+        compute.  Misses run as one batched engine pass, whose spatial
+        rows go through the encoder's row memo, and populate the cache
+        (:func:`~repro.hdc.memo.lru_fill`).  ``session``
         is the owning session when (and only when) the stack classifies
         against that session's adapted prototypes.
         """
@@ -901,62 +880,49 @@ class StreamingService:
         encoder = entry.model.encoder
         if not self._config.decision_cache:
             queries = encoder.encode_batch(stacked)
-            indices, _ = engine.am_search(queries.words, proto_words)
-            return indices
+            return engine.am_search(queries.words, proto_words)[0].tolist()
         levels = encoder.spatial.quantize_batch(stacked)
         n = levels.shape[0]
-        flat = levels.reshape(n, -1)
         prefix = self._cache_prefix(entry, session)
-        cache = self._decision_cache
-        winners = np.empty(n, dtype=np.int64)
-        keys: List[bytes] = []
-        missing: List[int] = []
-        for i in range(n):
-            key = prefix + flat[i].tobytes()
-            keys.append(key)
-            winner = cache.get(key)
-            if winner is None:
-                missing.append(i)
-            else:
-                cache.move_to_end(key)  # refresh LRU recency
-                winners[i] = winner
-        self.cache_hits += n - len(missing)
-        self.cache_misses += len(missing)
-        if missing:
+        keys = [prefix + row.tobytes() for row in levels.reshape(n, -1)]
+
+        def classify_missing(missing):
             queries = encoder.encode_levels_batch(levels[missing])
-            found, _ = engine.am_search(queries.words, proto_words)
-            limit = self._config.decision_cache_limit
-            for j, i in enumerate(missing):
-                winner = int(found[j])
-                key = keys[i]
-                if key not in cache:
-                    while len(cache) >= limit:
-                        cache.popitem(last=False)  # evict coldest
-                        self.cache_evictions += 1
-                # Insertion lands at the MRU end; a duplicate row in the
-                # same batch re-assigns the identical winner in place.
-                cache[key] = winner
-                winners[i] = winner
+            return engine.am_search(queries.words, proto_words)[0].tolist()
+
+        winners, misses, evictions = lru_fill(
+            self._decision_cache,
+            keys,
+            self._config.decision_cache_limit,
+            classify_missing,
+        )
+        self.cache_hits += n - misses
+        self.cache_misses += misses
+        self.cache_evictions += evictions
         return winners
 
     def _dispatch(self, n: int) -> List[Decision]:
         """Classify the ``n`` oldest ready windows, one engine pass per
-        classification group (model, or adapted session)."""
+        classification group (model, or adapted session).
+
+        Transactional: the batch is selected without touching the
+        queue, and its windows leave the queue only once every group
+        has classified, so a classify-time failure loses no session's
+        windows; a later dispatch decides them as if it never happened.
+        """
         items: List[Tuple[Session, np.ndarray, int, float]] = []
+        rest = None  # what stays queued of an entry the batch splits
         take = n
-        while take:
-            session, windows, tick, wall = self._queue.popleft()
-            k = windows.shape[0]
-            if k > take:
+        for entry in self._queue:
+            session, windows, tick, wall = entry
+            if windows.shape[0] > take:
                 items.append((session, windows[:take], tick, wall))
-                self._queue.appendleft(
-                    (session, windows[take:], tick, wall)
-                )
-                take = 0
-            else:
-                items.append((session, windows, tick, wall))
-                take -= k
-        self._pending -= n
+                rest = (session, windows[take:], tick, wall)
+                break
+            items.append(entry)
+            take -= windows.shape[0]
+            if not take:
+                break
         # Group queue entries by classification context.  Windows of
         # different models (or of an adapted session) cannot share an
         # engine pass — their encoders/prototypes differ — but kernels
@@ -986,11 +952,16 @@ class StreamingService:
             for pos in positions:
                 k = items[pos][1].shape[0]
                 item_labels[pos] = [
-                    labels[int(i)]
-                    for i in indices[offset : offset + k]
+                    labels[i] for i in indices[offset : offset + k]
                 ]
                 offset += k
         host_seconds = time.perf_counter() - start
+        # Every group classified: only now does the batch leave the queue.
+        for _ in items:
+            self._queue.popleft()
+        if rest is not None:
+            self._queue.appendleft(rest)
+        self._pending -= n
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         decisions: List[Decision] = []

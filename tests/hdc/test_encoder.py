@@ -12,6 +12,7 @@ from repro.hdc import (
     bundle,
 )
 from repro.hdc import reference
+from repro.hdc.encoder import _DEDUP_MIN_ROWS
 
 
 @pytest.fixture
@@ -165,7 +166,9 @@ class TestWindowEncoder:
 
 
 class TestSpatialRowCache:
-    """The cross-call per-sample row cache (overlapping-stride dedup)."""
+    """The cross-call per-sample row cache (overlapping-stride dedup),
+    and the row kernel it shares with the plain path on both sides of
+    the duplicate-row threshold.  Every test gets a fresh encoder."""
 
     def _overlap_windows(self, rng, n_windows=6, w=5, stride=1):
         """Windows sliding by ``stride < w`` over one synthetic stream."""
@@ -174,41 +177,122 @@ class TestSpatialRowCache:
             [stream[i * stride : i * stride + w] for i in range(n_windows)]
         )
 
+    @staticmethod
+    def _plateau_windows(rng, above, w=5):
+        """Duplicate-heavy windows (rows drawn from 6 distinct samples)
+        whose row count lies above or below ``_DEDUP_MIN_ROWS``."""
+        n_windows = 2 * _DEDUP_MIN_ROWS // w if above else 3
+        assert (n_windows * w >= _DEDUP_MIN_ROWS) == above
+        palette = rng.uniform(0, 21, size=(6, 4))
+        rows = palette[rng.integers(0, len(palette), size=n_windows * w)]
+        return rows.reshape(n_windows, w, 4)
+
+    @staticmethod
+    def _count_unique(monkeypatch):
+        """Count the row kernel's duplicate-row scans."""
+        calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("axis"))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        return calls
+
     def test_cached_rows_bit_exact(self, spatial, rng):
         windows = self._overlap_windows(rng)
         flat = spatial.quantize_batch(windows)
         baseline = spatial._levels_to_words(flat)
         spatial.enable_row_cache()
-        try:
-            # Twice: once populating, once serving fully from the cache.
-            assert np.array_equal(spatial._levels_to_words(flat), baseline)
-            assert np.array_equal(spatial._levels_to_words(flat), baseline)
-            assert spatial.row_cache_hits > 0
-        finally:
-            spatial.disable_row_cache()
+        # Twice: once populating, once serving fully from the cache.
+        assert np.array_equal(spatial._levels_to_words(flat), baseline)
+        assert np.array_equal(spatial._levels_to_words(flat), baseline)
+        assert spatial.row_cache_hits > 0
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    def test_encode_batch_bit_exact_across_dedup_threshold(
+        self, rng, monkeypatch, above
+    ):
+        """A stack on either side of the threshold encodes like each
+        window alone and like the unpacked reference."""
+        from repro.hdc import HDClassifier, HDClassifierConfig
+
+        ref = reference.ReferenceHDClassifier(
+            dim=128, n_channels=4, n_levels=8, ngram_size=2,
+            signal_lo=0.0, signal_hi=21.0, seed=42,
+        )
+        clf = HDClassifier(
+            HDClassifierConfig(
+                dim=128, n_channels=4, n_levels=8, ngram_size=2, seed=42
+            )
+        )
+        windows = self._plateau_windows(rng, above)
+        calls = self._count_unique(monkeypatch)
+        batch = clf.encoder.encode_batch(windows)
+        assert calls == ([0] if above else [])
+        bits = batch.to_bits()
+        for i, window in enumerate(windows):
+            single = clf.encoder.encode(window)
+            assert np.array_equal(batch.words[i], single.words64)
+            np.testing.assert_array_equal(
+                bits[i], ref.encode_window(window)
+            )
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    def test_memo_misses_bit_exact_across_dedup_threshold(
+        self, spatial, rng, monkeypatch, above
+    ):
+        """Every row twice: the memo hands each distinct missing row to
+        the row kernel once, in a miss set above or below the
+        threshold, and a first (all-miss) and a second (all-hit) pass
+        both give the plain path's rows."""
+        n_distinct = 2 * _DEDUP_MIN_ROWS if above else _DEDUP_MIN_ROWS // 4
+        codes = rng.choice(8**4, size=n_distinct, replace=False)
+        distinct = np.stack([codes // 8**c % 8 for c in range(4)], axis=1)
+        levels = np.concatenate([distinct, distinct[::-1]])
+        baseline = spatial._levels_to_words(levels)
+        spatial.enable_row_cache()
+        encode_rows = spatial._encode_rows
+        miss_sets = []
+
+        def spy(flat):
+            miss_sets.append(flat.shape[0])
+            return encode_rows(flat)
+
+        monkeypatch.setattr(spatial, "_encode_rows", spy)
+        assert np.array_equal(spatial._levels_to_words(levels), baseline)
+        assert miss_sets == [n_distinct]
+        assert spatial.row_cache_misses == len(levels)
+        assert spatial.row_cache_size == n_distinct
+        assert np.array_equal(spatial._levels_to_words(levels), baseline)
+        assert spatial.row_cache_hits == len(levels)
+        assert miss_sets == [n_distinct]
+
+    def test_empty_stack_through_memo(self, spatial):
+        """An empty stack encodes to no rows with or without the memo."""
+        empty = np.empty((0, 5, 4), dtype=np.int64)
+        baseline = spatial._levels_to_words(empty)
+        spatial.enable_row_cache()
+        assert spatial._levels_to_words(empty).shape == baseline.shape
+        assert baseline.shape == (0, 5, 4)
 
     def test_overlapping_strides_hit_shared_rows(self, spatial, rng):
         spatial.enable_row_cache()
-        try:
-            windows = self._overlap_windows(rng, n_windows=4, w=5, stride=1)
-            levels = spatial.quantize_batch(windows[:1])
-            spatial._levels_to_words(levels)
-            hits0 = spatial.row_cache_hits
-            # The next window shares w - stride = 4 of its 5 rows.
-            spatial._levels_to_words(spatial.quantize_batch(windows[1:2]))
-            assert spatial.row_cache_hits - hits0 >= 4
-        finally:
-            spatial.disable_row_cache()
+        windows = self._overlap_windows(rng, n_windows=4, w=5, stride=1)
+        levels = spatial.quantize_batch(windows[:1])
+        spatial._levels_to_words(levels)
+        hits0 = spatial.row_cache_hits
+        # The next window shares w - stride = 4 of its 5 rows.
+        spatial._levels_to_words(spatial.quantize_batch(windows[1:2]))
+        assert spatial.row_cache_hits - hits0 >= 4
 
     def test_eviction_is_bounded_lru(self, spatial, rng):
         spatial.enable_row_cache(limit=3)
-        try:
-            levels = np.tile(np.arange(5)[:, None], (1, 4))  # 5 distinct rows
-            spatial._levels_to_words(levels)
-            assert spatial.row_cache_size <= 3
-            assert spatial.row_cache_evictions >= 2
-        finally:
-            spatial.disable_row_cache()
+        levels = np.tile(np.arange(5)[:, None], (1, 4))  # 5 distinct rows
+        spatial._levels_to_words(levels)
+        assert spatial.row_cache_size <= 3
+        assert spatial.row_cache_evictions >= 2
 
     def test_bad_limit_rejected(self, spatial):
         with pytest.raises(ValueError):

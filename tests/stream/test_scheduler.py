@@ -352,6 +352,50 @@ class TestDecisionCacheLRU:
         assert [d.raw_label for d in decisions] == offline
 
 
+class TestTransactionalDispatch:
+    def test_classify_fault_loses_no_window(self, model, rng, monkeypatch):
+        """A batch holding two sessions' windows fails in classify: the
+        queue keeps every window, and a later drain decides them
+        byte-identically to a run that never failed."""
+        streams = [rng.random((60, 4)) for _ in range(2)]
+
+        def run(fault):
+            service = _service(model, max_wait=1000, max_batch=16)
+            decisions = {0: [], 1: []}
+            service.open_session(0)
+            service.open_session(1)
+            assert service.ingest(0, streams[0]) == []  # 12 windows
+            if fault:
+                classify = service._classify
+                calls = []
+
+                def flaky(stacked, *args):
+                    calls.append(stacked.shape[0])
+                    if len(calls) == 1:
+                        raise RuntimeError("injected classify fault")
+                    return classify(stacked, *args)
+
+                monkeypatch.setattr(service, "_classify", flaky)
+                # 24 pending: the failing batch takes session 0's 12
+                # windows and the first 4 of session 1's.
+                with pytest.raises(RuntimeError, match="injected"):
+                    service.ingest(1, streams[1])
+                assert calls == [16]
+                assert service.pending_windows == 24
+                assert service.total_batches == 0
+            else:
+                for d in service.ingest(1, streams[1]):
+                    decisions[d.session_id].append(d)
+            for d in service.drain():
+                decisions[d.session_id].append(d)
+            assert service.pending_windows == 0
+            return {s: stream_bytes(ds) for s, ds in decisions.items()}
+
+        clean = run(fault=False)
+        assert all(clean.values())
+        assert run(fault=True) == clean
+
+
 class TestClockInjection:
     def test_injected_ticks_drive_the_clock(self, model, rng):
         service = _service(model, max_wait=100, max_batch=64)
@@ -522,8 +566,10 @@ class TestSpatialRowCache:
         return clf.fit(windows, [i % 4 for i in range(40)])
 
     def test_overlapping_stride_bit_exact(self, rng):
-        """stride < W service equals the fully uncached one, and its
-        shifted windows actually hit the shared spatial rows."""
+        """A stride < W service decides like offline ``predict`` on the
+        same windows, with and without the decision cache in front of
+        the row memo, and its shifted windows actually hit the shared
+        spatial rows."""
         stream = rng.random((200, 4))
         window = WindowConfig(
             window_samples=5, stride_samples=1, skip_onset_s=0.0
@@ -532,41 +578,30 @@ class TestSpatialRowCache:
             self._fresh_model(),
             StreamConfig(window=window, sample_rate_hz=RATE, max_wait=0),
         )
-        plain = StreamingService(
+        uncached = StreamingService(
             self._fresh_model(),
             StreamConfig(
                 window=window,
                 sample_rate_hz=RATE,
                 max_wait=0,
                 decision_cache=False,
-                spatial_row_cache=False,
             ),
         )
         cached.open_session(0)
-        plain.open_session(0)
-        got, want = [], []
+        uncached.open_session(0)
+        got, got_uncached = [], []
         # Chunked delivery, as a live stream would arrive: windows that
         # straddle chunk boundaries share rows with earlier encodes.
         for chunk in np.array_split(stream, 8):
             got.extend(d.raw_label for d in cached.ingest(0, chunk))
-            want.extend(d.raw_label for d in plain.ingest(0, chunk))
+            got_uncached.extend(
+                d.raw_label for d in uncached.ingest(0, chunk)
+            )
+        windows = np.stack(
+            [stream[i : i + 5] for i in range(len(stream) - 4)]
+        )
+        want = self._fresh_model().predict(windows)
         assert got == want
+        assert got_uncached == want
         spatial = cached.model.encoder.spatial
         assert spatial.row_cache_hits > 0  # shifted windows dedup'd
-        assert plain.model.encoder.spatial.row_cache_size == 0
-
-    def test_row_cache_disabled_leaves_encoder_alone(self):
-        model = self._fresh_model()
-        StreamingService(
-            model,
-            StreamConfig(
-                window=WindowConfig(window_samples=5, skip_onset_s=0.0),
-                sample_rate_hz=RATE,
-                spatial_row_cache=False,
-            ),
-        )
-        assert model.encoder.spatial.row_cache_size == 0
-
-    def test_bad_row_cache_limit_rejected(self):
-        with pytest.raises(ValueError):
-            StreamConfig(spatial_row_cache_limit=0)
